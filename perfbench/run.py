@@ -11,14 +11,20 @@ checkout:
 
 ``--trace 0`` reports the end-to-end metrics, each over the run's
 passes: ``wall_s`` (median time to answer every question once),
-``question_p50_s`` (median latency of all questions answered),
-``question_max_s`` (median of each pass's slowest question),
+``question_p50_s`` (Harrell-Davis median latency of all questions
+answered),
 ``setup_s`` (median time from process start to first question: import,
 catalog, workload generation, model building) and ``peak_rss_mb``.
 ``--trace 1`` runs pairs of passes on one draw, untraced then traced
 (layer wrappers and ``repro.telemetry`` on), and reports the per-layer
-metrics (medians over traced passes), ``failed_share`` and
-``trace.overhead_s``; the traced findings must equal the untraced ones.
+metrics (medians over traced passes), ``failed_share``,
+``trace.overhead_s`` and ``question_max_s`` (median of each untraced
+pass's slowest question); the traced findings must equal the untraced
+ones.  ``question_max_s`` is printed by every run but is not an
+end-to-end metric: on ``transient`` it is the latency of
+``sir-transient/pontryagin``, whose sweep takes 18 to 280 iterations
+depending on the drawn kwargs, so its spread across seeds is far wider
+than any bound a regression gate could use.
 Every run appends a record with per-question latencies, per-kind totals
 and provenance to ``perfbench/results/history.jsonl``.  The last line
 of standard output is one JSON object: ``correct``, ``attempted``,
@@ -30,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -37,6 +44,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+from scipy.special import betainc
 from workloads import WORKLOAD_KINDS
 
 HERE = Path(__file__).resolve().parent
@@ -57,8 +66,7 @@ RUN_LIMIT_S = 170.0
 #: serial run, and a BLAS pool competing for the two cores adds noise.
 BLAS_THREADS = "1"
 
-END_TO_END_UNITS = {"wall_s": "s", "question_p50_s": "s",
-                    "question_max_s": "s", "setup_s": "s",
+END_TO_END_UNITS = {"wall_s": "s", "question_p50_s": "s", "setup_s": "s",
                     "peak_rss_mb": "MB"}
 
 
@@ -129,6 +137,21 @@ def _median(values):
     return statistics.median(values) if values else 0.0
 
 
+def harrell_davis_median(values) -> float:
+    """Harrell-Davis estimate of the median of ``values``.
+
+    A weighted average of every order statistic, with Beta((n+1)/2,
+    (n+1)/2) weights.  The latencies of a workload are spread over a
+    few clusters, and the plain median jumps between two of them when a
+    draw moves one question across the middle; this estimate moves by
+    that question's weight only.
+    """
+    ordered = np.sort(np.asarray(values, dtype=float))
+    n = ordered.size
+    weights = np.diff(betainc((n + 1) / 2, (n + 1) / 2, np.arange(n + 1) / n))
+    return float(weights @ ordered)
+
+
 def findings_mismatches(passes) -> set:
     """``(draw, question id)`` pairs whose findings differ between passes."""
     first = {}
@@ -145,9 +168,8 @@ def findings_mismatches(passes) -> set:
 def end_to_end(untraced) -> dict:
     """The end-to-end metrics of a run's untraced passes."""
     metrics = {name: _median([r[name] for r in untraced])
-               for name in ("wall_s", "question_max_s", "setup_s",
-                            "peak_rss_mb")}
-    metrics["question_p50_s"] = _median(
+               for name in ("wall_s", "setup_s", "peak_rss_mb")}
+    metrics["question_p50_s"] = harrell_davis_median(
         [seconds for r in untraced for seconds in r["latencies"].values()])
     return {name: {"value": metrics[name], "unit": unit}
             for name, unit in END_TO_END_UNITS.items()}
@@ -169,6 +191,8 @@ def summarize(passes, trace: bool) -> dict:
         values["trace.overhead_s"] = _median(
             [t["wall_s"] - u["wall_s"] for u, t in zip(untraced, traced)])
         values["failed_share"] = failed / attempted
+        values["question_max_s"] = _median(
+            [r["question_max_s"] for r in untraced])
         metrics = {name: {"value": value, "unit": per_layer_units(name)}
                    for name, value in values.items()}
     else:
@@ -235,8 +259,11 @@ def report(passes, result, trace: bool) -> None:
         print(f"FAILED {qid}: findings differ between passes on draw {draw} "
               f"(traced and untraced findings must be identical)",
               file=sys.stderr)
-    metrics = dict(end_to_end(untraced), **result["metrics"]) if trace \
-        else result["metrics"]
+    metrics = end_to_end(untraced)
+    metrics["question_max_s"] = {
+        "value": _median([r["question_max_s"] for r in untraced]), "unit": "s"}
+    if trace:
+        metrics.update(result["metrics"])
     for name, metric in metrics.items():
         print(f"  {name:<36} {metric['value']:.6g} {metric['unit']}")
 
@@ -249,6 +276,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=int, default=36)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    # A terminated run raises SystemExit inside subprocess.run, which
+    # kills and reaps the running pass instead of leaving it orphaned.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     if not (ROOT / "src" / "repro" / "__init__.py").is_file():
         print(f"no repro sources under {ROOT / 'src'}; run from a checkout "
               "of the repository", file=sys.stderr)

@@ -12,7 +12,7 @@ import pytest
 from bench_pass import answer, build_models
 from checks import failed_questions, load_reference
 from layers import LAYERS, LayerTracer, per_layer_metrics, wrapper_cost_s
-from run import summarize
+from run import harrell_davis_median, summarize
 from workloads import (
     WORKLOAD_KINDS,
     question_id,
@@ -85,6 +85,17 @@ def test_other_seeds_redraw_only_validity_kwargs(specs):
             assert low <= drawn.kwargs[key] <= high
 
 
+def test_draws_of_one_run_spread_over_the_ranges(specs):
+    spec = next(s for s in specs if s.name == "sir-transient")
+    low, high = spec.validity_ranges["a"]
+    units = [(seeded_spec(spec, 3, draw).kwargs["a"] - low) / (high - low)
+             for draw in range(4)]
+    offsets = sorted((u - units[0]) % 1.0 for u in units)
+    assert offsets == pytest.approx([0.0, 0.25, 0.5, 0.75])
+    assert units != [(seeded_spec(spec, 4, draw).kwargs["a"] - low)
+                     / (high - low) for draw in range(4)]
+
+
 # ----------------------------------------------------------------------
 # Output check
 # ----------------------------------------------------------------------
@@ -102,7 +113,7 @@ def _pass_record(items, outcomes, seed, traced=False):
         "latencies": {qid: 1.0 for qid in _ids(items)},
         "failed": failed_questions(items, outcomes, seed, reference),
         "findings": {qid: o.findings for qid, o in outcomes.items()},
-        "layers": {}, "wall_s": 1.0,
+        "layers": {}, "wall_s": 1.0, "question_max_s": 1.0,
     }
 
 
@@ -194,6 +205,16 @@ def test_findings_differing_between_passes_fail(specs):
     second = _pass_record(items, changed, 0, traced=True)
     assert second["failed"] == {}
     assert summarize([first, second], trace=True)["failed"] == 2
+
+
+def test_harrell_davis_median():
+    assert harrell_davis_median([3.0]) == pytest.approx(3.0)
+    assert harrell_davis_median([1.0, 2.0, 3.0]) == pytest.approx(2.0)
+    # One value crossing the middle of a two-cluster sample moves the
+    # plain median from one cluster to the other, the estimate far less.
+    low, high = [0.1] * 5 + [1.0] * 4, [0.1] * 4 + [1.0] * 5
+    jump = abs(harrell_davis_median(high) - harrell_davis_median(low))
+    assert jump < 0.5 * abs(np.median(high) - np.median(low))
 
 
 # ----------------------------------------------------------------------

@@ -13,9 +13,13 @@ kinds are split so that each workload stresses different layers:
 Seed 0 is the catalog as registered.  Any other seed redraws the
 validity-declared factory kwargs of each spec uniformly inside their
 declared ranges; specs without validity ranges run as registered.  A
-run repeats its workload in several passes; at a seed other than 0 each
-pass takes its own draw (``draw`` 0, 1, ...) from the seed, so a run's
-medians pool several draws instead of resting on one.
+run repeats its workload in several passes, and at a seed other than 0
+each pass takes its own draw (``draw`` 0, 1, ...).  Draw ``i`` is point
+``i`` of a Halton sequence shifted by a uniform offset taken from the
+seed, so every draw is uniform over the ranges while the few draws of
+one run spread evenly over them.  Some kwargs change a question's cost
+several-fold (``theta_max`` of the SIR specs), so independent draws
+would let two expensive draws out of three set a run's median.
 """
 
 from __future__ import annotations
@@ -55,14 +59,36 @@ def workload_of_kind(kinds: Sequence[str]) -> Dict[str, str]:
     return owner
 
 
+#: One Halton base per validity-declared kwarg of a spec.
+HALTON_BASES = (2, 3, 5, 7, 11, 13)
+
+
+def radical_inverse(index: int, base: int) -> float:
+    """Point ``index`` of the van der Corput sequence in ``base``."""
+    inverse, scale = 0.0, 1.0 / base
+    while index:
+        index, digit = divmod(index, base)
+        inverse += digit * scale
+        scale /= base
+    return inverse
+
+
 def seeded_spec(spec, seed: int, draw: int = 0):
     """The spec at ``seed``: registered at 0, validity kwargs redrawn otherwise."""
     ranges = spec.validity_ranges
     if seed == 0 or not ranges:
         return spec
-    rng = np.random.default_rng([seed, draw, zlib.crc32(spec.name.encode())])
-    drawn = {key: float(rng.uniform(float(low), float(high)))
-             for key, (low, high) in sorted(ranges.items())}
+    keys = sorted(ranges)
+    if len(keys) > len(HALTON_BASES):
+        raise ValueError(f"scenario {spec.name!r} declares more validity "
+                         f"ranges than the {len(HALTON_BASES)} Halton bases")
+    shift = np.random.default_rng([seed, zlib.crc32(spec.name.encode())]
+                                  ).uniform(size=len(keys))
+    drawn = {}
+    for key, base, offset in zip(keys, HALTON_BASES, shift):
+        low, high = (float(bound) for bound in ranges[key])
+        unit = (radical_inverse(draw, base) + offset) % 1.0
+        drawn[key] = low + unit * (high - low)
     return spec.with_overrides(model_kwargs=drawn)
 
 
