@@ -64,7 +64,7 @@ HARD_LIMIT_S = 150.0
 RUN_LIMIT_S = 170.0
 
 #: The numeric libraries run single-threaded: the benchmark measures a
-#: serial run, and a BLAS pool competing for the two cores adds noise.
+#: serial run, and a BLAS thread pool competing for the cores adds noise.
 BLAS_THREADS = "1"
 
 END_TO_END_UNITS = {"wall_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
