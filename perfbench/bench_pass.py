@@ -4,8 +4,12 @@ Started by ``run.py`` once per pass; prints one JSON record as its last
 line of standard output.  A pass imports ``repro`` from the checkout's
 ``src``, generates the workload at the seed, builds one model per spec,
 answers every question serially with no result cache, then runs the
-output check.  With ``--trace 1`` the layer wrappers are installed and
-``repro.telemetry`` is enabled before any model is built.
+output check.  An untraced pass samples the host's speed from its start
+to its last question and reports its times at the reference speed
+(``speed.py``) as well as raw.  With ``--trace 1`` the layer wrappers
+are installed and ``repro.telemetry`` is enabled before any model is
+built, and times are raw.  With ``--setup-only`` a pass stops after
+set-up and reports its time only.
 
     python3 perfbench/bench_pass.py --workload transient --seed 0 --draw 0 \\
         --trace 0 --spawned-at <time.monotonic() of the parent at spawn>
@@ -21,27 +25,29 @@ import sys
 import time
 from pathlib import Path
 
+from speed import Sampler
 from workloads import question_id, workload_items
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def answer(items, models, run_question):
-    """Answer every question once; returns outcomes, latencies and wall time.
+    """Answer every question once.
 
-    A question that raises is recorded with its exception as outcome.
+    Returns outcomes and the ``time.monotonic`` start and end of each
+    question.  A question that raises is recorded with its exception as
+    outcome.
     """
-    outcomes, latencies = {}, {}
-    start = time.perf_counter()
+    outcomes, spans = {}, {}
     for spec, question in items:
         qid = question_id(spec, question)
-        began = time.perf_counter()
+        began = time.monotonic()
         try:
             outcomes[qid] = run_question(spec, question, model=models[spec.name])
         except Exception as exc:  # a failing question is counted, not fatal
             outcomes[qid] = exc
-        latencies[qid] = time.perf_counter() - began
-    return outcomes, latencies, time.perf_counter() - start
+        spans[qid] = (began, time.monotonic())
+    return outcomes, spans
 
 
 def build_models(items):
@@ -59,7 +65,17 @@ def findings_of(outcome):
 
 
 def run_pass(workload: str, seed: int, draw: int, trace: bool,
-             spawned_at: float) -> dict:
+             spawned_at: float, setup_only: bool = False) -> dict:
+    # An untraced pass samples the host's speed while it measures and
+    # reports its times at the reference speed, and raw in ``*raw*``
+    # fields (see speed.py).  A traced pass reports raw times in both.
+    sampler = None if trace else Sampler().start()
+
+    def timed(start, end):
+        if sampler is None:
+            return end - start, end - start
+        return sampler.at_reference(start, end), sampler.seconds(start, end)
+
     import repro
 
     source = (ROOT / "src").resolve()
@@ -77,19 +93,32 @@ def run_pass(workload: str, seed: int, draw: int, trace: bool,
         telemetry.enable()
     items = workload_items(workload, seed, scenarios.list_scenarios(), draw)
     models = build_models(items)
-    setup_s = time.monotonic() - spawned_at
+    setup_end = time.monotonic()
+    if setup_only:
+        sampler.stop()
+        setup_s, setup_raw_s = timed(spawned_at, setup_end)
+        return {"setup_s": setup_s, "setup_raw_s": setup_raw_s}
 
-    outcomes, latencies, wall_s = answer(items, models, scenarios.run_question)
+    outcomes, spans = answer(items, models, scenarios.run_question)
+    if sampler is not None:
+        sampler.stop()
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
+    setup_s, setup_raw_s = timed(spawned_at, setup_end)
+    latencies, raw_latencies = {}, {}
+    for qid, span in spans.items():
+        latencies[qid], raw_latencies[qid] = timed(*span)
     record = {
         "traced": bool(trace),
         "draw": draw,
         "setup_s": setup_s,
-        "wall_s": wall_s,
+        "setup_raw_s": setup_raw_s,
+        "wall_s": sum(latencies.values()),
+        "wall_raw_s": sum(raw_latencies.values()),
         "peak_rss_mb": peak_rss_mb,
         "question_max_s": max(latencies.values()),
         "latencies": latencies,
+        "raw_latencies": raw_latencies,
         "kinds": {},
         "seeded_kwargs": {spec.name: spec.kwargs for spec, _ in items
                           if spec.validity},
@@ -132,9 +161,11 @@ def main(argv=None) -> int:
     parser.add_argument("--draw", type=int, default=0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--spawned-at", type=float, required=True)
+    parser.add_argument("--setup-only", action="store_true",
+                        help="stop after set-up and report its time only")
     args = parser.parse_args(argv)
     record = run_pass(args.workload, args.seed, args.draw, bool(args.trace),
-                      args.spawned_at)
+                      args.spawned_at, args.setup_only)
     print(json.dumps(record))
     return 0
 

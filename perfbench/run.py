@@ -9,27 +9,27 @@ checkout:
 
     python3 perfbench/run.py --workload transient --seed 0 --seconds 36 --trace 0
 
-``--trace 0`` reports the end-to-end metrics, each the median over the
-run's passes: ``wall_s`` (time to answer every question once),
-``setup_s`` (time from process start to first question: import,
-catalog, workload generation, model building) and ``peak_rss_mb``.
-``--trace 1`` runs pairs of passes on one draw, untraced then traced
-(layer wrappers and ``repro.telemetry`` on), and reports the per-layer
-metrics (medians over traced passes), ``failed_share``,
-``trace.overhead_s`` and the question latencies of the untraced passes:
-``question_p50_s`` (Harrell-Davis median of every latency) and
-``question_max_s`` (median of each pass's slowest question); the traced
-findings must equal the untraced ones.  Every run prints the question
-latencies, but they are not end-to-end metrics, because their spread
-across seeds is wider than any bound a regression gate could use:
-``question_max_s`` on ``transient`` is ``sir-transient/pontryagin``,
-whose sweep takes 18 to 280 iterations depending on the drawn kwargs,
-and ``question_p50_s`` is the latency of ~0.1 s questions, which on a
-shared machine drifts with its speed about as much as ``setup_s`` does.
-Every run appends a record with per-question latencies, per-kind totals
-and provenance to ``perfbench/results/history.jsonl``.  The last line
-of standard output is one JSON object: ``correct``, ``attempted``,
-``failed`` and ``metrics``.
+Times are seconds at a reference host speed: an untraced pass samples
+the speed of the host while it measures and scales what it measures
+(``speed.py``); raw seconds are printed and kept in the history too.
+``--trace 0`` reports the end-to-end metrics: ``wall_s`` (time to
+answer every question once) and ``peak_rss_mb``, medians over the
+run's passes; ``question_p50_s``, the median of every question latency
+of the run; and ``setup_s`` (time from process start to first question:
+import, catalog, workload generation, model building), the median of
+:data:`SETUPS` set-ups, some made alone.  ``--trace 1`` runs pairs of
+passes on one draw, untraced then traced (layer wrappers and
+``repro.telemetry`` on), and reports the per-layer metrics (medians
+over traced passes, raw seconds), ``failed_share``,
+``trace.overhead_s`` and ``question_max_s`` (median of each untraced
+pass's slowest question); the traced findings must equal the untraced
+ones.  ``question_max_s`` is not an end-to-end metric because on
+``transient`` it is ``sir-transient/pontryagin``, whose sweep takes 18
+to 280 iterations depending on the drawn kwargs.  Every run appends a
+record with per-question latencies, per-kind totals and provenance to
+``perfbench/results/history.jsonl``.  The last line of standard output
+is one JSON object: ``correct``, ``attempted``, ``failed`` and
+``metrics``.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-from scipy.special import betainc
 from workloads import WORKLOAD_KINDS
 
 HERE = Path(__file__).resolve().parent
@@ -57,6 +55,11 @@ HISTORY_PATH = HERE / "results" / "history.jsonl"
 #: or in a slow moment cannot set the median; traced runs at least one
 #: untraced/traced pair.
 MIN_PASSES = 3
+#: An untraced run reports the median of at least SETUPS set-ups: those
+#: of its passes, and up to SETUP_ONLY_PER_PASS set-ups alone before
+#: each pass until it has SETUPS.
+SETUPS = 9
+SETUP_ONLY_PER_PASS = 2
 #: No pass starts when it is predicted to end later than this many
 #: seconds into the run, and a pass still running at RUN_LIMIT_S is
 #: killed, so a run always ends within three minutes.
@@ -67,19 +70,18 @@ RUN_LIMIT_S = 170.0
 #: serial run, and a BLAS thread pool competing for the cores adds noise.
 BLAS_THREADS = "1"
 
-END_TO_END_UNITS = {"wall_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
+#: The metrics and their units, as ``BENCHMARK.json`` declares them.
+_DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = [metric["name"] for metric in _DECLARED["end_to_end"]]
+PER_LAYER = [metric["name"] for metric in _DECLARED["per_layer"]]
+UNITS = {metric["name"]: metric["unit"]
+         for metric in _DECLARED["end_to_end"] + _DECLARED["per_layer"]}
 
 
-def per_layer_units(name: str) -> str:
-    if name.endswith("_per_s"):
-        return "1/s"
-    if name.endswith("_s") or name.endswith(".s"):
-        return "s"
-    if name.endswith("ratio") or name.endswith("_share"):
-        return "ratio"
-    if name.endswith("per_call"):
-        return "rows/call"
-    return "count"
+def with_units(values: dict, names) -> dict:
+    """``names`` with their values and declared units."""
+    return {name: {"value": values[name], "unit": UNITS[name]}
+            for name in names}
 
 
 def _child_env() -> dict:
@@ -92,11 +94,13 @@ def _child_env() -> dict:
 
 
 def run_one_pass(workload: str, seed: int, draw: int, traced: bool,
-                 timeout: float) -> dict:
+                 timeout: float, setup_only: bool = False) -> dict:
     """Run one pass in a fresh interpreter and return its record."""
     command = [sys.executable, str(HERE / "bench_pass.py"),
                "--workload", workload, "--seed", str(seed),
                "--draw", str(draw), "--trace", str(int(traced))]
+    if setup_only:
+        command.append("--setup-only")
     spawned_at = time.monotonic()
     proc = subprocess.run(command + ["--spawned-at", repr(spawned_at)],
                           cwd=ROOT, env=_child_env(), capture_output=True,
@@ -108,12 +112,17 @@ def run_one_pass(workload: str, seed: int, draw: int, traced: bool,
     return json.loads(lines[-1])
 
 
-def run_passes(workload: str, seed: int, seconds: float, trace: bool) -> list:
-    """Passes while ``seconds`` allow; a traced run alternates untraced
-    and traced passes, each pair on one draw."""
+def run_passes(workload: str, seed: int, seconds: float, trace: bool):
+    """Passes while ``seconds`` allow, and the set-up times of the run.
+
+    A traced run alternates untraced and traced passes, each pair on
+    one draw.  An untraced run also sets up alone before its first
+    passes, so ``setup_s`` is a median of :data:`SETUPS` set-ups spread
+    over the run, however long a pass takes.
+    """
     start = time.monotonic()
     min_passes = 2 if trace else MIN_PASSES
-    passes, durations = [], []
+    passes, durations, setups = [], [], []
     while True:
         elapsed = time.monotonic() - start
         if passes:
@@ -127,29 +136,20 @@ def run_passes(workload: str, seed: int, seconds: float, trace: bool) -> list:
         traced = trace and index % 2 == 1
         draw = index // 2 if trace else index
         began = time.monotonic()
+        owed = SETUPS - len(setups) - max(MIN_PASSES - index, 1)
+        for _ in range(0 if trace else min(SETUP_ONLY_PER_PASS, owed)):
+            setups.append(run_one_pass(workload, seed, draw, False,
+                                       RUN_LIMIT_S - (began - start),
+                                       setup_only=True))
         passes.append(run_one_pass(workload, seed, draw, traced,
-                                   RUN_LIMIT_S - (began - start)))
+                                   RUN_LIMIT_S - (time.monotonic() - start)))
+        setups.append(passes[-1])
         durations.append(time.monotonic() - began)
-    return passes
+    return passes, [record for record in setups if not record.get("traced")]
 
 
 def _median(values):
     return statistics.median(values) if values else 0.0
-
-
-def harrell_davis_median(values) -> float:
-    """Harrell-Davis estimate of the median of ``values``.
-
-    A weighted average of every order statistic, with Beta((n+1)/2,
-    (n+1)/2) weights.  The latencies of a workload are spread over a
-    few clusters, and the plain median jumps between two of them when a
-    draw moves one question across the middle; this estimate moves by
-    that question's weight only.
-    """
-    ordered = np.sort(np.asarray(values, dtype=float))
-    n = ordered.size
-    weights = np.diff(betainc((n + 1) / 2, (n + 1) / 2, np.arange(n + 1) / n))
-    return float(weights @ ordered)
 
 
 def findings_mismatches(passes) -> set:
@@ -165,24 +165,31 @@ def findings_mismatches(passes) -> set:
     return mismatched
 
 
-def end_to_end(untraced) -> dict:
-    """The end-to-end metrics of a run's untraced passes."""
-    return {name: {"value": _median([r[name] for r in untraced]),
-                   "unit": unit}
-            for name, unit in END_TO_END_UNITS.items()}
-
-
 def question_latencies(untraced) -> dict:
-    """``question_p50_s`` and ``question_max_s`` of a run's untraced passes."""
+    """``question_p50_s`` (median of every question latency) and
+    ``question_max_s`` (median of each pass's slowest) of a run's
+    untraced passes."""
     return {
-        "question_p50_s": harrell_davis_median(
+        "question_p50_s": _median(
             [seconds for r in untraced for seconds in r["latencies"].values()]),
         "question_max_s": _median([r["question_max_s"] for r in untraced]),
     }
 
 
-def summarize(passes, trace: bool) -> dict:
-    """The run's result object from its pass records."""
+def end_to_end(untraced, setups) -> dict:
+    """A run's values from its untraced passes: the question latencies
+    and the medians of ``wall_s``, ``peak_rss_mb`` and, over all the
+    run's set-ups ``setups``, ``setup_s``."""
+    values = question_latencies(untraced)
+    values.update({name: _median([r[name] for r in untraced])
+                   for name in ("wall_s", "peak_rss_mb")})
+    values["setup_s"] = _median([r["setup_s"] for r in setups])
+    return values
+
+
+def summarize(passes, trace: bool, setups=None) -> dict:
+    """The run's result object from its pass records and set-ups
+    (by default those of its untraced passes)."""
     attempted = sum(len(record["latencies"]) for record in passes)
     mismatched = findings_mismatches(passes)
     failed = sum(len(set(record["failed"]) | {qid for draw, qid in mismatched
@@ -195,36 +202,30 @@ def summarize(passes, trace: bool) -> dict:
         values = {name: _median([r["layers"][name] for r in traced])
                   for name in names}
         values["trace.overhead_s"] = _median(
-            [t["wall_s"] - u["wall_s"] for u, t in zip(untraced, traced)])
+            [t["wall_raw_s"] - u["wall_raw_s"] for u, t in zip(untraced, traced)])
         values["failed_share"] = failed / attempted
         values.update(question_latencies(untraced))
-        metrics = {name: {"value": value, "unit": per_layer_units(name)}
-                   for name, value in values.items()}
+        metrics = with_units(values, PER_LAYER)
     else:
-        metrics = end_to_end(untraced)
+        metrics = with_units(end_to_end(untraced, setups or untraced),
+                             END_TO_END)
     return {"correct": failed == 0, "attempted": attempted, "failed": failed,
             "metrics": metrics}
 
 
 def git_sha():
-    """The checkout's commit, read from ``.git`` without running git."""
-    git = ROOT / ".git"
+    """The checkout's commit, or None outside a git repository."""
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).exists():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                              capture_output=True, text=True,
+                              env={**os.environ,
+                                   "GIT_CEILING_DIRECTORIES": str(ROOT.parent)})
     except OSError:
-        pass
-    return None
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def append_history(args, passes, result) -> None:
+def append_history(args, passes, setups, result) -> None:
     kinds = sorted({k for r in passes if not r["traced"] for k in r["kinds"]})
     record = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -241,6 +242,8 @@ def append_history(args, passes, result) -> None:
                                if not r["traced"]]) for k in kinds},
         "passes": [{key: r[key] for key in r if key != "findings"}
                    for r in passes],
+        "setups": [{key: r[key] for key in ("setup_s", "setup_raw_s")}
+                   for r in setups],
         "result": result,
     }
     HISTORY_PATH.parent.mkdir(parents=True, exist_ok=True)
@@ -248,10 +251,11 @@ def append_history(args, passes, result) -> None:
         handle.write(json.dumps(record) + "\n")
 
 
-def report(passes, result, trace: bool) -> None:
+def report(passes, setups, result, trace: bool) -> None:
     """Print the kind table, failures and every metric with its unit."""
     untraced = [r for r in passes if not r["traced"]]
-    print(f"{len(passes)} passes ({len(untraced)} untraced)")
+    print(f"{len(passes)} passes ({len(untraced)} untraced), "
+          f"{len(setups)} set-ups")
     for kind in sorted(untraced[0]["kinds"]):
         seconds = _median([r["kinds"][kind] for r in untraced])
         print(f"  kind {kind:<12} {seconds:8.3f} s")
@@ -264,13 +268,15 @@ def report(passes, result, trace: bool) -> None:
         print(f"FAILED {qid}: findings differ between passes on draw {draw} "
               f"(traced and untraced findings must be identical)",
               file=sys.stderr)
-    metrics = end_to_end(untraced)
-    metrics.update({name: {"value": value, "unit": "s"} for name, value
-                    in question_latencies(untraced).items()})
+    values = end_to_end(untraced, setups)
+    metrics = with_units(values, list(values))
     if trace:
         metrics.update(result["metrics"])
     for name, metric in metrics.items():
         print(f"  {name:<36} {metric['value']:.6g} {metric['unit']}")
+    for name, records in (("wall_s", untraced), ("setup_s", setups)):
+        raw = _median([r[name.replace("_s", "_raw_s")] for r in records])
+        print(f"  {name:<36} {raw:.6g} s unscaled")
 
 
 def main(argv=None) -> int:
@@ -289,14 +295,14 @@ def main(argv=None) -> int:
               "of the repository", file=sys.stderr)
         return 2
     try:
-        passes = run_passes(args.workload, args.seed, args.seconds,
-                            bool(args.trace))
+        passes, setups = run_passes(args.workload, args.seed, args.seconds,
+                                    bool(args.trace))
     except (RuntimeError, subprocess.TimeoutExpired) as exc:
         print(f"benchmark pass failed: {exc}", file=sys.stderr)
         return 1
-    result = summarize(passes, bool(args.trace))
-    append_history(args, passes, result)
-    report(passes, result, bool(args.trace))
+    result = summarize(passes, bool(args.trace), setups)
+    append_history(args, passes, setups, result)
+    report(passes, setups, result, bool(args.trace))
     print(json.dumps(result))
     return 0
 

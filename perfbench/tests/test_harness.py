@@ -5,6 +5,7 @@
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 from bench_pass import answer, build_models
 from checks import failed_questions, load_reference
 from layers import LAYERS, LayerTracer, per_layer_metrics, wrapper_cost_s
-from run import harrell_davis_median, summarize
+from run import summarize
+from speed import REFERENCE_S, Sampler
 from workloads import (
     WORKLOAD_KINDS,
     question_id,
@@ -113,7 +115,8 @@ def _pass_record(items, outcomes, seed, traced=False):
         "latencies": {qid: 1.0 for qid in _ids(items)},
         "failed": failed_questions(items, outcomes, seed, reference),
         "findings": {qid: o.findings for qid, o in outcomes.items()},
-        "layers": {}, "wall_s": 1.0, "question_max_s": 1.0,
+        "layers": per_layer_metrics(LayerTracer(), {}),
+        "wall_s": 1.0, "wall_raw_s": 1.0, "question_max_s": 1.0,
     }
 
 
@@ -207,14 +210,32 @@ def test_findings_differing_between_passes_fail(specs):
     assert summarize([first, second], trace=True)["failed"] == 2
 
 
-def test_harrell_davis_median():
-    assert harrell_davis_median([3.0]) == pytest.approx(3.0)
-    assert harrell_davis_median([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-    # One value crossing the middle of a two-cluster sample moves the
-    # plain median from one cluster to the other, the estimate far less.
-    low, high = [0.1] * 5 + [1.0] * 4, [0.1] * 4 + [1.0] * 5
-    jump = abs(harrell_davis_median(high) - harrell_davis_median(low))
-    assert jump < 0.5 * abs(np.median(high) - np.median(low))
+# ----------------------------------------------------------------------
+# Speed calibration
+# ----------------------------------------------------------------------
+
+def test_intervals_are_scaled_by_the_reference_work_near_them():
+    sampler = Sampler()
+    sampler.starts, sampler.ends = [0.0, 1.0, 1.2], [0.002, 1.004, 1.204]
+    # The run at 0.0 is more than WINDOW_S before the interval.
+    assert sampler.seconds(0.5, 1.5) == pytest.approx(1.0 - 0.008)
+    assert sampler.at_reference(0.5, 1.5) == pytest.approx(
+        (1.0 - 0.008) * REFERENCE_S / 0.004)
+    assert sampler.seconds(0.0, 0.5) == pytest.approx(0.5 - 0.002)
+    with pytest.raises(RuntimeError):
+        sampler.at_reference(0.3, 0.6)
+
+
+def test_sampler_runs_the_reference_work_while_code_runs():
+    sampler = Sampler().start()
+    start = time.monotonic()
+    while time.monotonic() - start < 0.3:
+        sum(range(1000))
+    end = time.monotonic()
+    sampler.stop()
+    assert len(sampler.starts) >= 3
+    assert 0.0 < sampler.seconds(start, end) < end - start
+    assert sampler.at_reference(start, end) > 0.0
 
 
 # ----------------------------------------------------------------------
@@ -261,11 +282,14 @@ def test_wrappers_replace_every_binding():
 def test_self_times_add_up_to_traced_wall(specs):
     items = [(s, q) for s, q in workload_items("transient", 0, specs)
              if s.name in ("sir-hull", "csma-contention")]
-    untraced, _, _ = answer(items, build_models(items), scenarios.run_question)
+    untraced, _ = answer(items, build_models(items), scenarios.run_question)
 
     with LayerTracer() as tracer:
         models = build_models(items)
-        traced, latencies, wall = answer(items, models, scenarios.run_question)
+        traced, spans = answer(items, models, scenarios.run_question)
+    latencies = {qid: end - start for qid, (start, end) in spans.items()}
+    wall = max(end for _, end in spans.values()) - min(
+        start for start, _ in spans.values())
     assert tracer.calls["repro.scenarios.runner:run_question"] == len(items)
     assert tracer.layer_calls("population.drift_batch") > 0
 
