@@ -76,35 +76,34 @@ def run_pass(workload: str, seed: int, draw: int, trace: bool,
             return end - start, end - start
         return sampler.at_reference(start, end), sampler.seconds(start, end)
 
-    import repro
+    try:
+        import repro
 
-    source = (ROOT / "src").resolve()
-    if source not in Path(repro.__file__).resolve().parents:
-        raise RuntimeError(f"repro was imported from {repro.__file__}, not "
-                           f"from the checkout's src directory {source}")
-    from repro import scenarios, telemetry
+        source = (ROOT / "src").resolve()
+        if source not in Path(repro.__file__).resolve().parents:
+            raise RuntimeError(f"repro was imported from {repro.__file__}, not "
+                               f"from the checkout's src directory {source}")
+        from repro import scenarios, telemetry
 
-    tracer = None
-    if trace:
-        from layers import LayerTracer
+        tracer = None
+        if trace:
+            from layers import LayerTracer
 
-        tracer = LayerTracer().install()
-        telemetry.clear()
-        telemetry.enable()
-    items = workload_items(workload, seed, scenarios.list_scenarios(), draw)
-    models = build_models(items)
-    setup_end = time.monotonic()
-    if setup_only:
-        sampler.stop()
-        setup_s, setup_raw_s = timed(spawned_at, setup_end)
-        return {"setup_s": setup_s, "setup_raw_s": setup_raw_s}
-
-    outcomes, spans = answer(items, models, scenarios.run_question)
-    if sampler is not None:
-        sampler.stop()
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
+            tracer = LayerTracer().install()
+            telemetry.clear()
+            telemetry.enable()
+        items = workload_items(workload, seed, scenarios.list_scenarios(), draw)
+        models = build_models(items)
+        setup_end = time.monotonic()
+        if not setup_only:
+            outcomes, spans = answer(items, models, scenarios.run_question)
+    finally:
+        if sampler is not None:
+            sampler.stop()
     setup_s, setup_raw_s = timed(spawned_at, setup_end)
+    if setup_only:
+        return {"setup_s": setup_s, "setup_raw_s": setup_raw_s}
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     latencies, raw_latencies = {}, {}
     for qid, span in spans.items():
         latencies[qid], raw_latencies[qid] = timed(*span)
