@@ -13,7 +13,7 @@ import pytest
 from bench_pass import answer, build_models
 from checks import failed_questions, load_reference
 from layers import LAYERS, LayerTracer, per_layer_metrics, wrapper_cost_s
-from run import summarize
+from run import end_to_end, summarize
 from speed import REFERENCE_S, Sampler
 from workloads import (
     WORKLOAD_KINDS,
@@ -208,6 +208,15 @@ def test_findings_differing_between_passes_fail(specs):
     second = _pass_record(items, changed, 0, traced=True)
     assert second["failed"] == {}
     assert summarize([first, second], trace=True)["failed"] == 2
+
+
+def test_wall_sums_each_question_median_over_passes():
+    passes = [{"latencies": {"a": a, "b": b}, "peak_rss_mb": 80.0,
+               "setup_s": 1.0, "question_max_s": max(a, b)}
+              for a, b in ((1.0, 0.1), (4.0, 0.2), (2.0, 0.3))]
+    values = end_to_end(passes, passes + [dict(passes[0], setup_s=0.5)])
+    assert values["wall_s"] == pytest.approx(2.0 + 0.2)
+    assert values["setup_s"] == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------------
