@@ -7,7 +7,7 @@ serially.  Passes repeat while ``--seconds`` allow (at least
 kwargs from the seed (see ``workloads.py``).  From the root of a
 checkout:
 
-    python3 perfbench/run.py --workload transient --seed 0 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload transient --seed 0 --seconds 36 --trace 0
 
 Times are seconds at a reference host speed: an untraced pass samples
 the speed of the host while it measures and scales what it measures
@@ -60,8 +60,8 @@ HISTORY_PATH = HERE / "results" / "history.jsonl"
 #: untraced/traced pair.
 MIN_PASSES = 3
 #: An untraced run reports the median of at least SETUPS set-ups: those
-#: of its passes, and up to SETUP_ONLY_PER_PASS set-ups alone before
-#: each pass until it has SETUPS.
+#: of its passes, and, after each pass, up to SETUP_ONLY_PER_PASS set-ups
+#: alone while the passes still to come cannot make up SETUPS.
 SETUPS = 9
 SETUP_ONLY_PER_PASS = 2
 #: No pass starts when it is predicted to end later than this many
@@ -120,9 +120,9 @@ def run_passes(workload: str, seed: int, seconds: float, trace: bool):
     """Passes while ``seconds`` allow, and the set-up times of the run.
 
     A traced run alternates untraced and traced passes, each pair on
-    one draw.  An untraced run also sets up alone before its first
-    passes, so ``setup_s`` is a median of :data:`SETUPS` set-ups spread
-    over the run, however long a pass takes.
+    one draw.  An untraced run also sets up alone after its passes when
+    they are too long to make :data:`SETUPS` set-ups, so ``setup_s`` is
+    a median of that many set-ups spread over the run.
     """
     start = time.monotonic()
     min_passes = 2 if trace else MIN_PASSES
@@ -140,15 +140,20 @@ def run_passes(workload: str, seed: int, seconds: float, trace: bool):
         traced = trace and index % 2 == 1
         draw = index // 2 if trace else index
         began = time.monotonic()
-        owed = SETUPS - len(setups) - max(MIN_PASSES - index, 1)
-        for _ in range(0 if trace else min(SETUP_ONLY_PER_PASS, owed)):
-            setups.append(run_one_pass(workload, seed, draw, False,
-                                       RUN_LIMIT_S - (began - start),
-                                       setup_only=True))
         passes.append(run_one_pass(workload, seed, draw, traced,
-                                   RUN_LIMIT_S - (time.monotonic() - start)))
+                                   RUN_LIMIT_S - (began - start)))
         setups.append(passes[-1])
         durations.append(time.monotonic() - began)
+        if trace:
+            continue
+        elapsed = time.monotonic() - start
+        to_come = max(MIN_PASSES - len(passes),
+                      int((seconds - elapsed) / statistics.median(durations)))
+        for _ in range(min(SETUP_ONLY_PER_PASS,
+                           SETUPS - len(setups) - to_come)):
+            setups.append(run_one_pass(
+                workload, seed, draw, False,
+                RUN_LIMIT_S - (time.monotonic() - start), setup_only=True))
     return passes, [record for record in setups if not record.get("traced")]
 
 
@@ -294,7 +299,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=sorted(WORKLOAD_KINDS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--seconds", type=int, default=36)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     # A terminated run raises SystemExit inside subprocess.run, which
