@@ -147,7 +147,7 @@ def run_passes(workload: str, seed: int, seconds: float, trace: bool):
         if trace:
             continue
         elapsed = time.monotonic() - start
-        to_come = max(MIN_PASSES - len(passes),
+        to_come = max(MIN_PASSES - len(passes), 0,
                       int((seconds - elapsed) / statistics.median(durations)))
         for _ in range(min(SETUP_ONLY_PER_PASS,
                            SETUPS - len(setups) - to_come)):
