@@ -7,7 +7,7 @@ order, which is the orientation assumed by :class:`ConvexPolygon`.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 
-def _cross(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+def _cross(o: Sequence[float], a: Sequence[float], b: Sequence[float]) -> float:
     """Z-component of the cross product (a - o) x (b - o)."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -64,8 +64,10 @@ def convex_hull(points) -> np.ndarray:
             stack.append(p)
         return stack
 
-    lower = half_hull(pts)
-    upper = half_hull(pts[::-1])
+    # Python floats: the same IEEE arithmetic as numpy scalars, at a
+    # fraction of the per-operation cost.
+    lower = half_hull(pts.tolist())
+    upper = half_hull(pts[::-1].tolist())
     hull = np.array(lower[:-1] + upper[:-1])
     if hull.shape[0] < 3:
         # All points collinear: return the extreme pair.
@@ -108,31 +110,26 @@ def point_in_polygon(point, vertices, tol: float = 1e-12) -> bool:
         return False
     if n == 1:
         return bool(np.hypot(px - verts[0, 0], py - verts[0, 1]) <= tol)
-    # Boundary check: distance from each edge segment.
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        ab = b - a
-        denom = float(ab @ ab)
-        if denom < tol * tol:
-            continue
-        t = np.clip(((px - a[0]) * ab[0] + (py - a[1]) * ab[1]) / denom, 0.0, 1.0)
-        proj = a + t * ab
-        if np.hypot(px - proj[0], py - proj[1]) <= tol:
-            return True
+    # Boundary check: distance from each (non-degenerate) edge segment.
+    ab = np.roll(verts, -1, axis=0) - verts
+    denom = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]
+    edges = denom >= tol * tol
+    a, ab, denom = verts[edges], ab[edges], denom[edges]
+    t = np.clip(((px - a[:, 0]) * ab[:, 0] + (py - a[:, 1]) * ab[:, 1]) / denom,
+                0.0, 1.0)
+    proj = a + t[:, None] * ab
+    if np.any(np.hypot(px - proj[:, 0], py - proj[:, 1]) <= tol):
+        return True
     if n == 2:
         return False
-    inside = False
-    j = n - 1
-    for i in range(n):
-        xi, yi = verts[i]
-        xj, yj = verts[j]
-        if (yi > py) != (yj > py):
-            x_cross = xi + (py - yi) * (xj - xi) / (yj - yi)
-            if px < x_cross:
-                inside = not inside
-        j = i
-    return inside
+    # Ray casting: count the edges (v[i-1], v[i]) crossed by the ray
+    # from the point towards +x.
+    xi, yi = verts[:, 0], verts[:, 1]
+    xj, yj = np.roll(xi, 1), np.roll(yi, 1)
+    straddle = (yi > py) != (yj > py)
+    xi, yi, xj, yj = xi[straddle], yi[straddle], xj[straddle], yj[straddle]
+    x_cross = xi + (py - yi) * (xj - xi) / (yj - yi)
+    return bool(np.count_nonzero(px < x_cross) % 2)
 
 
 def segment_midpoints(vertices) -> np.ndarray:
@@ -184,17 +181,13 @@ class ConvexPolygon:
         if point_in_polygon(point, self.vertices):
             return 0.0
         p = np.asarray(point, dtype=float)
-        best = np.inf
-        n = self.n_vertices
-        for i in range(n):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % n]
-            ab = b - a
-            denom = float(ab @ ab)
-            t = 0.0 if denom == 0.0 else np.clip(float((p - a) @ ab) / denom, 0.0, 1.0)
-            proj = a + t * ab
-            best = min(best, float(np.hypot(*(p - proj))))
-        return best
+        a, ab = self.vertices, self.edges()
+        denom = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]
+        along = (p[0] - a[:, 0]) * ab[:, 0] + (p[1] - a[:, 1]) * ab[:, 1]
+        t = np.clip(np.divide(along, denom, out=np.zeros_like(along),
+                              where=denom != 0.0), 0.0, 1.0)
+        proj = a + t[:, None] * ab
+        return float(np.min(np.hypot(p[0] - proj[:, 0], p[1] - proj[:, 1])))
 
     def signed_margin(self, points) -> np.ndarray:
         """Vectorised signed distance proxy to the boundary.
@@ -250,10 +243,18 @@ class ConvexPolygon:
         return np.array(pts), np.array(nrm)
 
     def expanded_with(self, points) -> "ConvexPolygon":
-        """Return the convex hull of this region together with new points."""
+        """Return the convex hull of this region together with new points.
+
+        Points strictly inside the region cannot be hull vertices, so
+        they are dropped before re-hulling; points within round-off of
+        the boundary are kept, which leaves the hull exactly as if every
+        point had been passed.
+        """
         extra = np.asarray(points, dtype=float)
         if extra.ndim == 1:
             extra = extra[None, :]
+        scale = 1.0 + float(np.max(np.abs(self.vertices)))
+        extra = extra[self.signed_margin(extra) > -1e-12 * scale]
         return ConvexPolygon(np.vstack([self.vertices, extra]))
 
     def simplified(self, tolerance: float, min_vertices: int = 8) -> "ConvexPolygon":

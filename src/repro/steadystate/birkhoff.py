@@ -11,7 +11,11 @@ concentrate (Theorem 3).  Section V-C gives a constructive algorithm for
    the two curves delimit a region inside the Birkhoff centre;
 3. *grow*: while some boundary point admits a parameter whose drift
    points outward, integrate a trajectory with that parameter from that
-   point and add it to the region (convex hull);
+   point and add it to the region (convex hull).  Each round scans the
+   whole boundary in one batched extremiser call and integrates all of
+   its escape trajectories as the lanes of one
+   :func:`~repro.ode.dopri_batch` solve (the seed trajectories of step
+   2 likewise share one solve);
 4. terminate when the drift points inward everywhere on the boundary —
    the region is then forward-invariant and no solution can leave it.
 
@@ -32,9 +36,10 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro import telemetry
 from repro.geometry import ConvexPolygon, convex_hull
 from repro.inclusion import DriftExtremizer
-from repro.ode import find_fixed_point, find_fixed_point_batch, solve_ode
+from repro.ode import dopri_batch, find_fixed_point, find_fixed_point_batch
 
 __all__ = ["BirkhoffResult", "birkhoff_centre_2d", "uncertain_fixed_points"]
 
@@ -48,7 +53,8 @@ class BirkhoffResult:
     polygon:
         The grown convex region (``None`` when degenerate).
     points:
-        All trajectory points the construction accumulated.
+        The final polygon's vertices; for a degenerate result, the seed
+        points (fixed points and seed trajectories) instead.
     corner_fixed_points:
         The equilibria of the corner parameters used as seeds.
     certified:
@@ -161,85 +167,71 @@ def birkhoff_centre_2d(
     x0_guess = np.asarray(x0_guess, dtype=float)
 
     corners = model.theta_set.corners()
-    # Step 1: fixed point of each corner parameter (continuation between
-    # corners keeps the solves cheap and on the same attractor branch).
-    fixed_points = []
-    current_guess = x0_guess
-    for theta in corners:
-        fp = find_fixed_point(
-            model.drift_fn(theta), current_guess, settle_time=settle_time
-        )
-        fixed_points.append(fp)
-        current_guess = fp
-    fixed_points = np.array(fixed_points)
-
-    # Step 2: seed trajectories between fixed points under switched
-    # corner parameters (the paper's x1 / x2 loop, generalised).
-    points = [fixed_points]
-    for i in range(corners.shape[0]):
-        for j in range(corners.shape[0]):
-            if i == j and corners.shape[0] > 1:
-                continue
-            traj = solve_ode(
-                model.vector_field(corners[j]),
-                fixed_points[i],
-                (0.0, loop_time),
-                t_eval=np.linspace(0.0, loop_time, samples_per_trajectory),
+    with telemetry.span("steadystate.birkhoff") as sp:
+        # Step 1: fixed point of each corner parameter (continuation
+        # between corners keeps the solves cheap and on the same
+        # attractor branch).
+        fixed_points = []
+        current_guess = x0_guess
+        for theta in corners:
+            fp = find_fixed_point(
+                model.drift_fn(theta), current_guess, settle_time=settle_time
             )
-            points.append(traj.states)
-    cloud = np.vstack(points)
+            fixed_points.append(fp)
+            current_guess = fp
+        fixed_points = np.array(fixed_points)
 
-    diameter = float(
-        np.max(np.linalg.norm(cloud - cloud.mean(axis=0), axis=1), initial=0.0)
-    )
-    if diameter <= degenerate_diameter:
-        return BirkhoffResult(
-            polygon=None,
-            points=cloud,
-            corner_fixed_points=fixed_points,
-            certified=True,
-            degenerate=True,
-            rounds=0,
-            max_outward_drift=0.0,
-            converged=True,
+        # Step 2: seed trajectories between fixed points under switched
+        # corner parameters (the paper's x1 / x2 loop, generalised), all
+        # (start, parameter) pairs as the lanes of one batched solve.
+        n_corners = corners.shape[0]
+        start, param = np.array([
+            (i, j) for i in range(n_corners) for j in range(n_corners)
+            if i != j or n_corners == 1
+        ]).T
+        seeds = dopri_batch(
+            lambda t, X, th: model.drift_batch(X, th),
+            fixed_points[start],
+            (0.0, loop_time),
+            t_eval=np.linspace(0.0, loop_time, samples_per_trajectory),
+            lane_args=corners[param],
         )
+        cloud = np.vstack([fixed_points, seeds.states.reshape(-1, model.dim)])
 
-    hull = convex_hull(cloud)
-    if hull.shape[0] < 3:
-        # Collinear seed cloud: nudge along the normal direction to give
-        # the hull area; the growth loop will immediately correct it.
-        direction = hull[-1] - hull[0]
-        normal = np.array([-direction[1], direction[0]])
-        norm = np.linalg.norm(normal)
-        normal = normal / norm if norm > 0 else np.array([0.0, 1.0])
-        cloud = np.vstack([cloud, cloud.mean(axis=0) + 1e-8 * normal])
-    polygon = ConvexPolygon(cloud)
+        diameter = float(
+            np.max(np.linalg.norm(cloud - cloud.mean(axis=0), axis=1), initial=0.0)
+        )
+        if diameter <= degenerate_diameter:
+            sp.set("rounds", 0)
+            sp.set("escape_lanes", 0)
+            sp.set("certified", True)
+            return BirkhoffResult(
+                polygon=None,
+                points=cloud,
+                corner_fixed_points=fixed_points,
+                certified=True,
+                degenerate=True,
+                rounds=0,
+                max_outward_drift=0.0,
+                converged=True,
+            )
 
-    # Step 3: growth loop.
-    history: List[float] = []
-    certified = False
-    converged = False
-    max_outward = np.inf
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
-        boundary, normals = polygon.boundary_points(per_edge=per_edge)
-        candidates = []
-        max_outward = -np.inf
-        for x, n in zip(boundary, normals):
-            theta_star, outward = extremizer.maximize_direction(x, n)
-            max_outward = max(max_outward, outward)
-            if outward > tolerance:
-                candidates.append((outward, x, theta_star))
-        history.append(max_outward)
-        if not candidates:
-            certified = True
-            converged = True
-            break
-        candidates.sort(key=lambda item: -item[0])
-        escapes = []
-        # The outward excursion is often brief (the flow curves back into
-        # the recurrent set), so the early part of each escape is sampled
-        # densely or the hull gain is missed entirely.
+        hull = convex_hull(cloud)
+        if hull.shape[0] < 3:
+            # Collinear seed cloud: nudge along the normal direction to
+            # give the hull area; the growth loop will immediately
+            # correct it.
+            direction = hull[-1] - hull[0]
+            normal = np.array([-direction[1], direction[0]])
+            norm = np.linalg.norm(normal)
+            normal = normal / norm if norm > 0 else np.array([0.0, 1.0])
+            cloud = np.vstack([cloud, cloud.mean(axis=0) + 1e-8 * normal])
+        polygon = ConvexPolygon(cloud)
+
+        # Step 3: growth loop.  The outward excursion is often brief (the
+        # flow curves back into the recurrent set), so the early part of
+        # each escape is sampled densely or the hull gain is missed
+        # entirely.
         early = min(1.0, 0.1 * grow_time)
         t_escape = np.unique(
             np.concatenate(
@@ -249,24 +241,48 @@ def birkhoff_centre_2d(
                 ]
             )
         )
-        for _, x, theta_star in candidates[:max_escapes_per_round]:
-            traj = solve_ode(
-                model.vector_field(theta_star),
-                x,
+        history: List[float] = []
+        certified = False
+        converged = False
+        max_outward = np.inf
+        rounds = 0
+        escape_lanes = 0
+        for rounds in range(1, max_rounds + 1):
+            boundary, normals = polygon.boundary_points(per_edge=per_edge)
+            thetas, outward = extremizer.maximize_direction_batch(
+                boundary, normals
+            )
+            max_outward = float(np.max(outward))
+            history.append(max_outward)
+            escaping = np.nonzero(outward > tolerance)[0]
+            if escaping.size == 0:
+                certified = True
+                converged = True
+                break
+            # Worst offenders first; the rest get their turn next round.
+            chosen = escaping[np.argsort(-outward[escaping], kind="stable")]
+            chosen = chosen[:max_escapes_per_round]
+            escape_lanes += chosen.size
+            escapes = dopri_batch(
+                lambda t, X, th: model.drift_batch(X, th),
+                boundary[chosen],
                 (0.0, grow_time),
                 t_eval=t_escape,
                 rtol=1e-8,
                 atol=1e-10,
+                lane_args=thetas[chosen],
             )
-            escapes.append(traj.states)
-        escape_cloud = np.vstack(escapes)
-        gain = float(np.max(polygon.signed_margin(escape_cloud)))
-        if gain <= spatial_tolerance:
-            converged = True
-            break
-        polygon = polygon.expanded_with(escape_cloud)
-        polygon = polygon.simplified(simplify_tolerance)
+            escape_cloud = escapes.states.reshape(-1, model.dim)
+            gain = float(np.max(polygon.signed_margin(escape_cloud)))
+            if gain <= spatial_tolerance:
+                converged = True
+                break
+            polygon = polygon.expanded_with(escape_cloud)
+            polygon = polygon.simplified(simplify_tolerance)
 
+        sp.set("rounds", rounds)
+        sp.set("escape_lanes", escape_lanes)
+        sp.set("certified", certified)
     return BirkhoffResult(
         polygon=polygon,
         points=polygon.vertices,
@@ -274,7 +290,7 @@ def birkhoff_centre_2d(
         certified=certified,
         degenerate=False,
         rounds=rounds,
-        max_outward_drift=float(max_outward),
+        max_outward_drift=max_outward,
         converged=converged,
         history=history,
     )
@@ -310,29 +326,31 @@ def uncertain_fixed_points(
         else:
             x0_guess = np.full(model.dim, 0.5)
     guess = np.asarray(x0_guess, dtype=float)
-    thetas = model.theta_set.grid(resolution)
-    if batch:
-        result = find_fixed_point_batch(
-            lambda X, th: model.drift_batch(X, th),
-            np.broadcast_to(guess, (thetas.shape[0], model.dim)),
-            settle_time=settle_time,
-            lane_args=thetas,
-        )
-        if not result.converged.all():
-            # Mirror the scalar path's near-miss signal: lanes inside
-            # the acceptance band but above tol are usable, not silent.
-            n_loose = int(np.count_nonzero(~result.converged))
-            warnings.warn(
-                f"{n_loose} of {len(result)} equilibria settled with "
-                f"residual above tolerance (worst |f| = "
-                f"{float(result.residuals.max()):.2e})",
-                RuntimeWarning,
-                stacklevel=2,
+    with telemetry.span("steadystate.fixed_points", resolution=resolution,
+                        batch=batch):
+        thetas = model.theta_set.grid(resolution)
+        if batch:
+            result = find_fixed_point_batch(
+                lambda X, th: model.drift_batch(X, th),
+                np.broadcast_to(guess, (thetas.shape[0], model.dim)),
+                settle_time=settle_time,
+                lane_args=thetas,
             )
-        return result.points
-    out = np.empty((thetas.shape[0], model.dim))
-    for k, theta in enumerate(thetas):
-        fp = find_fixed_point(model.drift_fn(theta), guess, settle_time=settle_time)
-        out[k] = fp
-        guess = fp
-    return out
+            if not result.converged.all():
+                # Mirror the scalar path's near-miss signal: lanes inside
+                # the acceptance band but above tol are usable, not silent.
+                n_loose = int(np.count_nonzero(~result.converged))
+                warnings.warn(
+                    f"{n_loose} of {len(result)} equilibria settled with "
+                    f"residual above tolerance (worst |f| = "
+                    f"{float(result.residuals.max()):.2e})",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            return result.points
+        out = np.empty((thetas.shape[0], model.dim))
+        for k, theta in enumerate(thetas):
+            fp = find_fixed_point(model.drift_fn(theta), guess, settle_time=settle_time)
+            out[k] = fp
+            guess = fp
+        return out

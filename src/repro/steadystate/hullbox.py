@@ -16,6 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro import telemetry
 from repro.bounds.hull import differential_hull_bounds, hull_vector_field
 from repro.ode import find_fixed_point_batch
 
@@ -82,73 +83,75 @@ def hull_steady_rectangle(
         Forwarded to the hull integrator (sampling, refinement, blow-up
         threshold, ...).
     """
-    t_eval = np.linspace(0.0, float(horizon), 401)
-    bounds = differential_hull_bounds(model, x0, t_eval, batch=batch,
-                                      **hull_kwargs)
-    window = max(2, int(np.ceil(residual_window * t_eval.shape[0])))
-    tail_lower = bounds.lower[-window:]
-    tail_upper = bounds.upper[-window:]
-    finite = bool(
-        np.all(np.isfinite(tail_lower)) and np.all(np.isfinite(tail_upper))
-    )
-    if finite:
-        residual = float(
-            max(
-                np.max(np.abs(tail_lower - tail_lower[-1])),
-                np.max(np.abs(tail_upper - tail_upper[-1])),
-            )
+    with telemetry.span("steadystate.hullbox", batch=batch) as sp:
+        t_eval = np.linspace(0.0, float(horizon), 401)
+        bounds = differential_hull_bounds(model, x0, t_eval, batch=batch,
+                                          **hull_kwargs)
+        window = max(2, int(np.ceil(residual_window * t_eval.shape[0])))
+        tail_lower = bounds.lower[-window:]
+        tail_upper = bounds.upper[-window:]
+        finite = bool(
+            np.all(np.isfinite(tail_lower)) and np.all(np.isfinite(tail_upper))
         )
-    else:
-        residual = np.inf
-    lower = bounds.lower[-1].copy()
-    upper = bounds.upper[-1].copy()
-    converged = finite and residual <= residual_tol
-    if settle and finite:
-        # Forward only the kwargs the field builder owns, so its own
-        # defaults stay the single source of truth and the settled field
-        # is exactly the field that was integrated.
-        field = hull_vector_field(
-            model,
-            batch=batch,
-            **{key: hull_kwargs[key]
-               for key in ("x_samples_per_axis", "refine", "theta_method",
-                           "backend")
-               if key in hull_kwargs},
-        )
-
-        def field_batch(Z):
-            return np.stack([field(0.0, z) for z in Z])
-
-        try:
-            fp = find_fixed_point_batch(
-                field_batch,
-                np.concatenate([lower, upper])[None, :],
-                settle_time=float(horizon) / 4.0,
-                max_rounds=2,
+        if finite:
+            residual = float(
+                max(
+                    np.max(np.abs(tail_lower - tail_lower[-1])),
+                    np.max(np.abs(tail_upper - tail_upper[-1])),
+                )
             )
-        except RuntimeError:
-            # No equilibrium within reach: keep the honest integration
-            # result (e.g. a hull diverging slower than the blow-up
-            # threshold detects).
-            pass
         else:
-            z = fp.points[0]
-            d = model.dim
-            # Soundness gate: the hull pair approaches its stationary
-            # rectangle from the inside, so a legitimate settle can only
-            # *grow* the integrated rectangle (up to solver noise).  A
-            # Newton polish that jumped to a different, smaller zero of
-            # the field must be discarded, not served as a bound.
-            grow_tol = 1e-7 * (1.0 + float(np.max(np.abs(z))))
-            sound = (
-                np.all(z[d:] >= z[:d] - 1e-12)
-                and np.all(z[:d] <= lower + grow_tol)
-                and np.all(z[d:] >= upper - grow_tol)
+            residual = np.inf
+        lower = bounds.lower[-1].copy()
+        upper = bounds.upper[-1].copy()
+        converged = finite and residual <= residual_tol
+        if settle and finite:
+            # Forward only the kwargs the field builder owns, so its own
+            # defaults stay the single source of truth and the settled field
+            # is exactly the field that was integrated.
+            field = hull_vector_field(
+                model,
+                batch=batch,
+                **{key: hull_kwargs[key]
+                   for key in ("x_samples_per_axis", "refine", "theta_method",
+                               "backend")
+                   if key in hull_kwargs},
             )
-            if sound:
-                lower, upper = z[:d].copy(), z[d:].copy()
-                residual = float(fp.residuals[0])
-                converged = converged or residual <= residual_tol
+
+            def field_batch(Z):
+                return np.stack([field(0.0, z) for z in Z])
+
+            try:
+                fp = find_fixed_point_batch(
+                    field_batch,
+                    np.concatenate([lower, upper])[None, :],
+                    settle_time=float(horizon) / 4.0,
+                    max_rounds=2,
+                )
+            except RuntimeError:
+                # No equilibrium within reach: keep the honest integration
+                # result (e.g. a hull diverging slower than the blow-up
+                # threshold detects).
+                pass
+            else:
+                z = fp.points[0]
+                d = model.dim
+                # Soundness gate: the hull pair approaches its stationary
+                # rectangle from the inside, so a legitimate settle can only
+                # *grow* the integrated rectangle (up to solver noise).  A
+                # Newton polish that jumped to a different, smaller zero of
+                # the field must be discarded, not served as a bound.
+                grow_tol = 1e-7 * (1.0 + float(np.max(np.abs(z))))
+                sound = (
+                    np.all(z[d:] >= z[:d] - 1e-12)
+                    and np.all(z[:d] <= lower + grow_tol)
+                    and np.all(z[d:] >= upper - grow_tol)
+                )
+                if sound:
+                    lower, upper = z[:d].copy(), z[d:].copy()
+                    residual = float(fp.residuals[0])
+                    converged = converged or residual <= residual_tol
+        sp.set("converged", converged)
     return HullRectangle(
         lower=lower,
         upper=upper,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from repro.geometry import (
     ConvexPolygon,
@@ -13,6 +15,75 @@ from repro.geometry import (
 )
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+coords = st.floats(min_value=-100.0, max_value=100.0,
+                   allow_nan=False, allow_infinity=False)
+planar_points = st.tuples(coords, coords)
+unit = st.floats(min_value=0.0, max_value=1.0)
+index = st.integers(min_value=0, max_value=10**6)
+
+
+def loop_point_in_polygon(point, vertices, tol=1e-12):
+    """Per-edge reference for :func:`point_in_polygon`."""
+    verts = np.asarray(vertices, dtype=float)
+    px, py = float(point[0]), float(point[1])
+    n = verts.shape[0]
+    for i in range(n):
+        a = verts[i]
+        ab = verts[(i + 1) % n] - a
+        denom = float(ab @ ab)
+        if denom < tol * tol:
+            continue
+        t = np.clip(((px - a[0]) * ab[0] + (py - a[1]) * ab[1]) / denom, 0.0, 1.0)
+        proj = a + t * ab
+        if np.hypot(px - proj[0], py - proj[1]) <= tol:
+            return True
+    if n == 2:
+        return False
+    inside = False
+    j = n - 1
+    for i in range(n):
+        xi, yi = verts[i]
+        xj, yj = verts[j]
+        if (yi > py) != (yj > py):
+            if px < xi + (py - yi) * (xj - xi) / (yj - yi):
+                inside = not inside
+        j = i
+    return inside
+
+
+def loop_distance(point, vertices):
+    """Per-edge reference for :meth:`ConvexPolygon.distance` (outside)."""
+    p = np.asarray(point, dtype=float)
+    n = len(vertices)
+    best = np.inf
+    for i in range(n):
+        a = vertices[i]
+        ab = vertices[(i + 1) % n] - a
+        denom = float(ab @ ab)
+        t = 0.0 if denom == 0.0 else np.clip(float((p - a) @ ab) / denom, 0.0, 1.0)
+        best = min(best, float(np.hypot(*(p - (a + t * ab)))))
+    return best
+
+
+def probe_points(v, free, on_edges, toward_vertices, at_vertices):
+    """Free points plus points on edges, towards and at the vertices."""
+    n = v.shape[0]
+    centre = v.mean(axis=0)
+    return np.array(
+        list(free)
+        + [v[i % n] + t * (v[(i + 1) % n] - v[i % n]) for i, t in on_edges]
+        + [centre + t * (v[i % n] - centre) for i, t in toward_vertices]
+        + [v[i % n] for i in at_vertices]
+    ).reshape(-1, 2)
+
+
+probes = dict(
+    free=st.lists(planar_points, max_size=20),
+    on_edges=st.lists(st.tuples(index, unit), max_size=10),
+    toward_vertices=st.lists(st.tuples(index, unit), max_size=10),
+    at_vertices=st.lists(index, max_size=5),
+)
 
 
 class TestConvexHull:
@@ -106,6 +177,17 @@ class TestPointInPolygon:
     def test_single_vertex(self):
         assert point_in_polygon((1.0, 1.0), [(1.0, 1.0)])
         assert not point_in_polygon((1.1, 1.0), [(1.0, 1.0)])
+
+    @given(vertices=st.lists(planar_points, min_size=2, max_size=12),
+           **probes)
+    def test_matches_edge_loop(self, vertices, free, on_edges,
+                               toward_vertices, at_vertices):
+        """Arbitrary (also non-convex, self-touching) vertex lists."""
+        v = np.array(vertices)
+        for p in probe_points(v, free, on_edges, toward_vertices, at_vertices):
+            for tol in (1e-12, 1e-9):
+                assert point_in_polygon(p, v, tol=tol) == \
+                    loop_point_in_polygon(p, v, tol=tol)
 
 
 class TestSegmentMidpoints:
@@ -205,3 +287,27 @@ class TestConvexPolygon:
 
     def test_repr(self):
         assert "ConvexPolygon" in repr(ConvexPolygon(UNIT_SQUARE))
+
+    @given(base=st.lists(planar_points, min_size=3, max_size=12), **probes)
+    def test_expanded_with_matches_full_rehull(self, base, free, on_edges,
+                                               toward_vertices, at_vertices):
+        """Dropping interior points never changes the grown hull."""
+        assume(convex_hull(base).shape[0] >= 3)
+        poly = ConvexPolygon(base)
+        v = poly.vertices
+        pts = probe_points(v, free, on_edges, toward_vertices, at_vertices)
+        expected = ConvexPolygon(np.vstack([v, pts])).vertices
+        np.testing.assert_array_equal(poly.expanded_with(pts).vertices,
+                                      expected)
+
+    @given(base=st.lists(planar_points, min_size=3, max_size=12), **probes)
+    def test_distance_matches_edge_loop(self, base, free, on_edges,
+                                        toward_vertices, at_vertices):
+        assume(convex_hull(base).shape[0] >= 3)
+        poly = ConvexPolygon(base)
+        v = poly.vertices
+        for p in probe_points(v, free, on_edges, toward_vertices, at_vertices):
+            expected = (0.0 if loop_point_in_polygon(p, v)
+                        else loop_distance(p, v))
+            assert poly.distance(p) == pytest.approx(expected, rel=1e-12,
+                                                     abs=1e-12)

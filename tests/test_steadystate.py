@@ -131,3 +131,35 @@ class TestHullSteadyRectangle:
         curve = uncertain_fixed_points(model, resolution=9)
         for fp in curve:
             assert rect.contains(fp, tol=1e-2)
+
+
+class TestCatalogGoldenValues:
+    """Frozen Birkhoff findings of the catalog's steady-state questions.
+
+    Hard-coded from the scalar-solve growth loop (one ``solve_ivp`` per
+    seed and escape trajectory) at each scenario's registered kwargs, so
+    the batched growth loop must reproduce the same region, round count
+    and memberships.
+    """
+
+    #: scenario -> (birkhoff_area, birkhoff_rounds,
+    #:              uncertain_fp_inside_region, uncertain_fp_total)
+    GOLDEN = {
+        "gossip-spread": (0.015622798623272302, 7, 11, 11),
+        "repairable-queue": (0.03384545858436354, 6, 81, 81),
+        "sir-steadystate": (0.0016575997091359887, 4, 21, 21),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_steadystate_findings_match_frozen_values(self, name):
+        from repro.scenarios import get_scenario, run_question
+
+        spec = get_scenario(name)
+        question = next(q for q in spec.questions if q.kind == "steadystate")
+        findings = run_question(spec, question).findings
+        area, rounds, inside, total = self.GOLDEN[name]
+        np.testing.assert_allclose(findings["birkhoff_area"], area, rtol=5e-4)
+        assert findings["birkhoff_rounds"] == rounds
+        assert findings["uncertain_fp_inside_region"] == inside
+        assert findings["uncertain_fp_total"] == total
+        assert findings["birkhoff_inside_steady_rect"] == 1.0

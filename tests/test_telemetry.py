@@ -390,6 +390,24 @@ def test_run_scenario_span_tree_reaches_the_kernels():
     assert "cache_hit=false" in rendered and "miss=bypassed" in rendered
 
 
+def test_steadystate_question_is_covered_by_its_layer_spans():
+    from repro.scenarios import run_question
+    from repro.telemetry.spans import trace_roots
+
+    spec = get_scenario("sir-steadystate")
+    telemetry.enable()
+    run_question(spec, spec.questions[0])
+    (root,) = [s for s in trace_roots() if s.name == "scenario.question"]
+    children = {s.name: s for s in root.children}
+    assert set(children) == {"steadystate.hullbox", "steadystate.birkhoff",
+                             "steadystate.fixed_points"}
+    birkhoff = children["steadystate.birkhoff"].attributes
+    assert birkhoff["rounds"] >= 1 and birkhoff["escape_lanes"] > 0
+    assert birkhoff["certified"] in (True, False)
+    covered = sum(s.duration for s in root.children)
+    assert covered >= 0.9 * root.duration
+
+
 def test_run_report_metric_views(tmp_path):
     spec = _transient_spec()
     first = run_scenario(spec, cache_dir=tmp_path)
