@@ -113,7 +113,7 @@ from repro.steadystate import (
     uncertain_fixed_points,
 )
 
-#: Bump on releases that change any computation backend: the scenario
+#: Bump on releases that change any computed answer: the scenario
 #: disk cache stamps entries with this version and treats entries from
 #: other versions as stale (repro.scenarios.cache).
 __version__ = "1.2.0"

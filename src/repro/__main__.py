@@ -6,11 +6,9 @@ Subcommands:
 - ``describe NAME`` — the full declarative spec (model, questions,
   cache key);
 - ``run NAME [--no-cache] [--refresh] [--processes N] [--cache-dir D]
-  [--backend B] [--on-error M] [--trace] [--metrics-out F]
-  [--trace-out F]`` — execute (or recall) every question and print the
-  rendered result plus the run report with its cache-hit counter;
-  ``--backend`` selects the compiled-array backend (see
-  :mod:`repro.backend`) for the whole run; ``--on-error=partial``
+  [--on-error M] [--trace] [--metrics-out F] [--trace-out F]`` —
+  execute (or recall) every question and print the rendered result
+  plus the run report with its cache-hit counter; ``--on-error=partial``
   isolates per-question failures (each failed question is reported and
   the survivors still render) instead of aborting — exit code ``0``
   means every question ran, ``3`` a partial result, ``4`` that every
@@ -77,16 +75,6 @@ def _cmd_run(args) -> int:
 
         telemetry.enable()
         telemetry.clear()
-    if args.backend is not None:
-        # Make the choice the process default too, so kernels resolved
-        # outside the runner's explicit threading (helpers, plotting)
-        # agree with the run; unknown/missing names warn and fall back
-        # to numpy here, before any work starts.  Resolved after the
-        # telemetry switch so the resolve/fallback counters land in the
-        # run's snapshot.
-        from repro.backend import resolve_backend, set_backend
-
-        set_backend(resolve_backend(args.backend))
     if args.refresh:
         # Unlink by content hash, not by stored name: the lookup is
         # content-addressed, so this is the entry a run would be served.
@@ -96,7 +84,6 @@ def _cmd_run(args) -> int:
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         processes=args.processes,
-        backend=args.backend,
         on_error=args.on_error,
     )
     print(run.result.render())
@@ -174,10 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--cache-dir", default=None,
                        help="cache directory (default $REPRO_CACHE_DIR "
                             "or ~/.cache/repro-scenarios)")
-    p_run.add_argument("--backend", default=None, metavar="NAME",
-                       help="compiled-array backend for the run "
-                            "(numpy, numba, ...); unknown or missing "
-                            "backends warn and fall back to numpy")
     p_run.add_argument("--on-error", choices=("raise", "partial"),
                        default="raise",
                        help="'partial' isolates failing questions and "

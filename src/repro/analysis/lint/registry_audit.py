@@ -19,12 +19,6 @@ registry, so it can check contracts no AST can see:
 - **REG004** — every spec declaring ``golden`` pins also declares
   ``validity`` ranges: a pinned scenario without perturbation metadata
   freezes its numbers while exempting itself from the robustness sweep.
-- **REG005** — every registered model's batch-kernel declarations
-  (``batch_kernel_declarations()``: per-transition rates plus the
-  affine/jacobian kernels) must be *backend-compilable* — expressible in
-  pure numpy with no Python-object captures
-  (:func:`repro.backend.kernel_compilable`) — or the compiled backends
-  silently reroute that model to the reference path on every call.
 """
 
 from __future__ import annotations
@@ -208,46 +202,6 @@ def _audit_hash_manifest(findings: List[Finding]) -> None:
             ))
 
 
-def _check_kernel_declarations(scenario_name: str, model,
-                               findings: List[Finding]) -> None:
-    """REG005 core: every declared batch kernel must be compilable.
-
-    Split out from the registry walk so the test-suite can aim it at a
-    deliberately bad fixture model without registering one.
-    """
-    from repro.backend import kernel_compilable
-
-    declarations = getattr(model, "batch_kernel_declarations", None)
-    if declarations is None:
-        return
-    for label, fn in declarations().items():
-        ok, reason = kernel_compilable(fn)
-        if not ok:
-            findings.append(Finding(
-                file=_REGISTRY_FILE, line=1, code="REG005",
-                message=f"scenario {scenario_name!r}: batch kernel "
-                        f"{label!r} is not backend-compilable ({reason}) "
-                        "— compiled backends will reroute this model to "
-                        "the reference path",
-            ))
-
-
-def _audit_kernel_declarations(findings: List[Finding]) -> None:
-    from repro.scenarios import list_scenarios
-
-    seen = set()
-    for spec in list_scenarios():
-        key = (spec.factory_ref, spec.model_kwargs)
-        if key in seen:
-            continue
-        seen.add(key)
-        try:
-            model = spec.build_model()
-        except Exception:  # repro: noqa[REP002] - REG001 already reports broken factories
-            continue
-        _check_kernel_declarations(spec.name, model, findings)
-
-
 def _audit_golden_validity(findings: List[Finding]) -> None:
     from repro.scenarios import list_scenarios
 
@@ -268,5 +222,4 @@ def audit_registry() -> List[Finding]:
     _audit_backends(findings)
     _audit_hash_manifest(findings)
     _audit_golden_validity(findings)
-    _audit_kernel_declarations(findings)
     return findings

@@ -307,7 +307,7 @@ def extremal_trajectory(
 
 
 def _costate_sweep_batch(model, T, steps, states, controls, C, w_mid,
-                         idx_right, kernels=None):
+                         idx_right):
     """Backward costate integration for a whole lane set at once.
 
     During one backward sweep the state trajectory and control signal
@@ -330,8 +330,7 @@ def _costate_sweep_batch(model, T, steps, states, controls, C, w_mid,
     x_mid = x_left + w_mid[:, :, None] * (x_right - x_left)
     u_right = controls[lanes[:, None], idx_right]
     flat = lambda arr: arr.reshape(L * n_max, -1)  # noqa: E731
-    jacobian = kernels.jacobian if kernels is not None else model.jacobian_x_batch
-    jacs = jacobian(
+    jacs = model.jacobian_x_batch(
         np.concatenate([flat(x_right), flat(x_mid), flat(x_left)]),
         np.concatenate([flat(u_right), flat(controls), flat(controls)]),
     ).reshape(3, L, n_max, d, d)
@@ -368,7 +367,6 @@ def extremal_trajectories_batch(
     value_patience: int = 3,
     chatter_intervals: int = 2,
     extremizer: Optional[DriftExtremizer] = None,
-    backend=None,
     deadline_seconds: Optional[float] = None,
 ) -> List[PontryaginResult]:
     with telemetry.span("pontryagin.sweep", lanes=len(specs)):
@@ -377,7 +375,7 @@ def extremal_trajectories_batch(
             max_iter=max_iter, tol=tol, value_tol=value_tol,
             value_patience=value_patience,
             chatter_intervals=chatter_intervals, extremizer=extremizer,
-            backend=backend, deadline_seconds=deadline_seconds,
+            deadline_seconds=deadline_seconds,
         )
 
 
@@ -391,7 +389,6 @@ def _extremal_trajectories_batch_impl(
     value_patience: int = 3,
     chatter_intervals: int = 2,
     extremizer: Optional[DriftExtremizer] = None,
-    backend=None,
     deadline_seconds: Optional[float] = None,
 ) -> List[PontryaginResult]:
     """Run many forward–backward sweeps as one lane-parallel batch.
@@ -425,8 +422,7 @@ def _extremal_trajectories_batch_impl(
     if not specs:
         return []
     x0 = np.asarray(x0, dtype=float)
-    extremizer = extremizer or DriftExtremizer(model, backend=backend)
-    kernels = model.backend_kernels(backend)
+    extremizer = extremizer or DriftExtremizer(model)
     L = len(specs)
     d, p = model.dim, model.theta_dim
 
@@ -469,7 +465,7 @@ def _extremal_trajectories_batch_impl(
     x0_stack = np.broadcast_to(x0, (L, d)).copy()
 
     def dynamics(t, X, U):
-        return kernels.drift(X, U)
+        return model.drift_batch(X, U)
 
     # Per-lane sweep state (mirrors the scalar loop variable for variable).
     best_value = np.full(L, -np.inf)
@@ -512,9 +508,7 @@ def _extremal_trajectories_batch_impl(
             iter_counter.inc(int(a.size))
         # (7) forward state sweep under the current controls.
         fwd = rk4_integrate_controlled_batch(
-            dynamics, x0_stack[a], T[a], controls[a], lane_steps=steps[a],
-            backend=backend,
-        )
+            dynamics, x0_stack[a], T[a], controls[a], lane_steps=steps[a])
         finals = fwd.final_states
         value = np.einsum("ld,ld->l", C[a], finals)
         improved = value > best_value[a]
@@ -527,8 +521,7 @@ def _extremal_trajectories_batch_impl(
         # (9) backward costate sweep along the stored states.
         costates_a = _costate_sweep_batch(
             model, T[a], steps[a], fwd.states, controls[a], C[a],
-            w_mid[a], idx_right[a], kernels=kernels,
-        )
+            w_mid[a], idx_right[a])
         costates[a] = costates_a
 
         # (8) pointwise Hamiltonian maximisation, all lanes and intervals
@@ -552,8 +545,7 @@ def _extremal_trajectories_batch_impl(
             controls[fin] = target[fixed_point]
             final_fwd = rk4_integrate_controlled_batch(
                 dynamics, x0_stack[fin], T[fin], controls[fin],
-                lane_steps=steps[fin], backend=backend,
-            )
+                lane_steps=steps[fin])
             fin_value = np.einsum("ld,ld->l", C[fin], final_fwd.final_states)
             better = fin_value >= best_value[fin]
             upd = fin[better]
@@ -607,8 +599,7 @@ def _extremal_trajectories_batch_impl(
     )
     projected = thetas_flat.reshape(L, n_max, p)
     proj_fwd = rk4_integrate_controlled_batch(
-        dynamics, x0_stack, T, projected, lane_steps=steps, backend=backend,
-    )
+        dynamics, x0_stack, T, projected, lane_steps=steps)
     proj_value = np.einsum("ld,ld->l", C, proj_fwd.final_states)
     keep = proj_value >= values - value_tol * np.maximum(1.0, np.abs(values))
     final_states = np.where(keep[:, None, None], proj_fwd.states, best_states)
@@ -716,7 +707,6 @@ def pontryagin_transient_bounds(
     sides: Sequence[str] = ("lower", "upper"),
     batch: bool = True,
     lanes: Optional[bool] = None,
-    backend=None,
     deadline_seconds: Optional[float] = None,
 ) -> TransientBounds:
     with telemetry.span("pontryagin.bounds",
@@ -727,8 +717,7 @@ def pontryagin_transient_bounds(
             steps_per_unit=steps_per_unit, min_steps=min_steps,
             max_iter=max_iter, tol=tol, extremizer=extremizer,
             keep_results=keep_results, sides=sides, batch=batch,
-            lanes=lanes, backend=backend,
-            deadline_seconds=deadline_seconds,
+            lanes=lanes, deadline_seconds=deadline_seconds,
         )
 
 
@@ -746,7 +735,6 @@ def _pontryagin_transient_bounds_impl(
     sides: Sequence[str] = ("lower", "upper"),
     batch: bool = True,
     lanes: Optional[bool] = None,
-    backend=None,
     deadline_seconds: Optional[float] = None,
 ) -> TransientBounds:
     """Exact imprecise-model bounds at each horizon, per observable.
@@ -792,8 +780,7 @@ def _pontryagin_transient_bounds_impl(
     if lanes is None:
         lanes = batch
     directions = _resolve_directions(model, observables)
-    extremizer = extremizer or DriftExtremizer(model, batch=batch,
-                                               backend=backend)
+    extremizer = extremizer or DriftExtremizer(model, batch=batch)
     bounds = TransientBounds(horizons=horizons.copy())
     requested = tuple(
         is_max for is_max in (False, True)
@@ -821,7 +808,7 @@ def _pontryagin_transient_bounds_impl(
         results = extremal_trajectories_batch(
             model, x0, specs,
             max_iter=max_iter, tol=tol, extremizer=extremizer,
-            backend=backend, deadline_seconds=deadline_seconds,
+            deadline_seconds=deadline_seconds,
         )
         for (name, is_max, k), result in zip(keys, results):
             target = bounds.upper if is_max else bounds.lower

@@ -26,7 +26,6 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 
 from repro import telemetry
-from repro.backend import resolve_backend
 from repro.engine.vectorized import simulate_ensemble
 from repro.simulation.batch import BatchResult
 
@@ -176,7 +175,7 @@ def map_shards(fn: Callable, payloads: Sequence,
 
 
 #: Per-worker sweep context installed by :func:`_init_sweep_worker`:
-#: ``(population, backend, sweep_config)``.  Module-global by necessity —
+#: ``(population, sweep_config)``.  Module-global by necessity —
 #: a pool worker has no other channel from the initializer to the task
 #: function — and rebuilt wholesale by the next sweep's initializer.
 _SWEEP_CONTEXT = None
@@ -193,19 +192,18 @@ def _init_sweep_worker(shared) -> None:
     """
     global _SWEEP_CONTEXT
     (model_factory, model_kwargs, x0, population_size, t_final, n_runs,
-     n_samples, t_start, max_events, backend) = shared
+     n_samples, t_start, max_events) = shared
     model = model_factory(**model_kwargs)
     population = model.instantiate(population_size, x0)
-    _SWEEP_CONTEXT = (population, backend, shared)
+    _SWEEP_CONTEXT = (population, shared)
 
 
 def _run_shard(payload) -> BatchResult:
     theta, seed_seq = payload
     from repro.simulation.policies import ConstantPolicy
 
-    population, backend, shared = _SWEEP_CONTEXT
-    (_, _, _, _, t_final, n_runs, n_samples, t_start, max_events,
-     _) = shared
+    population, shared = _SWEEP_CONTEXT
+    _, _, _, _, t_final, n_runs, n_samples, t_start, max_events = shared
     return simulate_ensemble(
         population,
         lambda: ConstantPolicy(theta),
@@ -215,7 +213,6 @@ def _run_shard(payload) -> BatchResult:
         n_samples=n_samples,
         t_start=t_start,
         max_events=max_events,
-        backend=backend,
     )
 
 
@@ -232,7 +229,6 @@ def sweep_constant_ensembles(
     max_events: int = 50_000_000,
     processes: Optional[int] = None,
     model_kwargs: Optional[dict] = None,
-    backend=None,
     policy=None,
 ) -> List[BatchResult]:
     """Run one vectorized ensemble per ``theta`` grid point.
@@ -290,14 +286,10 @@ def sweep_constant_ensembles(
     root = (seed if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed))
     seed_seqs = root.spawn(theta_grid.shape[0])
-    # Backends do not cross the pool boundary as instances; ship the
-    # resolved *name* and let each worker re-resolve it (with the usual
-    # warn-and-fallback if the substrate is missing over there).
-    backend_name = resolve_backend(backend).name if backend is not None else None
     shared = (model_factory, dict(model_kwargs or {}),
               np.asarray(x0, dtype=float), int(population_size),
               float(t_final), n_runs, int(n_samples), float(t_start),
-              int(max_events), backend_name)
+              int(max_events))
     payloads = [
         (theta_grid[i], seed_seqs[i]) for i in range(theta_grid.shape[0])
     ]

@@ -69,14 +69,13 @@ def simulate_ensemble(
     n_samples: int = 200,
     t_start: float = 0.0,
     max_events: int = 50_000_000,
-    backend=None,
 ) -> BatchResult:
     with telemetry.span("engine.ensemble", runs=n_runs) as sp:
         t0 = time.perf_counter()
         batch = _simulate_ensemble_impl(
             population, policy_factory, t_final, n_runs,
             seed=seed, rng=rng, n_samples=n_samples, t_start=t_start,
-            max_events=max_events, backend=backend,
+            max_events=max_events,
         )
         if telemetry.enabled():
             elapsed = time.perf_counter() - t0
@@ -101,7 +100,6 @@ def _simulate_ensemble_impl(
     n_samples: int = 200,
     t_start: float = 0.0,
     max_events: int = 50_000_000,
-    backend=None,
 ) -> BatchResult:
     """Run ``n_runs`` independent SSA trajectories, vectorized across rows.
 
@@ -145,7 +143,6 @@ def _simulate_ensemble_impl(
 
     lane = build_lane(policy_factory, n_runs)
     lane.reset(rng, population.initial_density)
-    kernels = model.backend_kernels(backend)
 
     counts = np.tile(population.initial_counts, (n_runs, 1))
     t = np.full(n_runs, float(t_start))
@@ -175,8 +172,7 @@ def _simulate_ensemble_impl(
             )
         x = counts[rows] / size
         theta = model.theta_set.project_batch(lane.theta(rows, t[rows], x))
-        rates = population.aggregate_rates_batch(counts[rows], theta,
-                                                 kernels=kernels)
+        rates = population.aggregate_rates_batch(counts[rows], theta)
         policy_rate = lane.jump_rate(rows, t[rows], x)
         total = rates.sum(axis=1) + policy_rate
         switch_at = lane.next_switch_after(rows, t[rows])

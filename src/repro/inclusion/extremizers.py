@@ -88,23 +88,12 @@ class DriftExtremizer:
     """
 
     def __init__(self, model, method: str = "auto", grid_resolution: int = 9,
-                 refine: bool = False, batch: bool = True, backend=None):
+                 refine: bool = False, batch: bool = True):
         if method not in _VALID_METHODS:
             raise ValueError(f"method must be one of {_VALID_METHODS}, got {method!r}")
         if grid_resolution < 2:
             raise ValueError("grid_resolution must be >= 2")
         self.model = model
-        # The resolved compiled kernels of the model on the selected
-        # array backend (numpy kernels are the model's bound batch
-        # methods, so the default path is bit-identical).  Duck-typed
-        # models (the Kolmogorov system) lack the ``backend_kernels``
-        # helper; resolve through the backend directly for them.
-        if hasattr(model, "backend_kernels"):
-            self._kernels = model.backend_kernels(backend)
-        else:
-            from repro.backend import resolve_backend
-
-            self._kernels = resolve_backend(backend).model_kernels(model)
         if method == "auto":
             method = "affine" if model.is_affine else "grid"
         if method == "affine" and not model.is_affine:
@@ -247,7 +236,7 @@ class DriftExtremizer:
         if states.ndim == 1:
             states = states[None, :]
         if self.batch and self.method == "affine":
-            g0s, big_gs = self._kernels.affine(states)
+            g0s, big_gs = self.model.affine_parts_batch(states)
             theta_set = self.model.theta_set
             if isinstance(theta_set, DiscreteSet):
                 values = np.einsum("ndp,mp->ndm", big_gs, theta_set.values)
@@ -307,7 +296,7 @@ class DriftExtremizer:
 
     def _maximize_affine_batch(self, states, directions
                                ) -> Tuple[np.ndarray, np.ndarray]:
-        g0s, big_gs = self._kernels.affine(states)
+        g0s, big_gs = self.model.affine_parts_batch(states)
         base = np.einsum("nd,nd->n", directions, g0s)
         coeffs = np.einsum("nd,ndp->np", directions, big_gs)
         theta_set = self.model.theta_set
@@ -329,7 +318,7 @@ class DriftExtremizer:
         m = candidates.shape[0]
         x_rep = np.repeat(states, m, axis=0)
         theta_rep = np.tile(candidates, (n, 1))
-        drifts = self._kernels.drift(x_rep, theta_rep).reshape(n, m, d)
+        drifts = self.model.drift_batch(x_rep, theta_rep).reshape(n, m, d)
         values = np.einsum("nd,nmd->nm", directions, drifts)
         best = np.argmax(values, axis=1)
         thetas = candidates[best].copy()

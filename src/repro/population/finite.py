@@ -85,7 +85,7 @@ class FinitePopulation:
             )
         return self._change_matrix
 
-    def aggregate_rates_batch(self, counts, thetas, kernels=None) -> np.ndarray:
+    def aggregate_rates_batch(self, counts, thetas) -> np.ndarray:
         """Aggregate rates of every transition for a batch of count vectors.
 
         Parameters
@@ -103,12 +103,7 @@ class FinitePopulation:
         """
         counts = np.atleast_2d(np.asarray(counts, dtype=np.int64))
         x = counts / self.population_size
-        # ``kernels`` is an optional pre-resolved
-        # :class:`repro.backend.ModelKernels`; on the numpy backend its
-        # ``rates`` IS the bound ``transition_rates_batch`` method.
-        rates_fn = (kernels.rates if kernels is not None
-                    else self.model.transition_rates_batch)
-        rates = self.population_size * rates_fn(x, thetas)
+        rates = self.population_size * self.model.transition_rates_batch(x, thetas)
         # One (n, E, d) broadcast masks every row/event pair at once —
         # this sits in the engine's per-step hot path, where a Python
         # loop over E transitions would dominate for deep models.

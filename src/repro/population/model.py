@@ -531,46 +531,6 @@ class PopulationModel:
         return out
 
     # ------------------------------------------------------------------
-    # Backend seam
-    # ------------------------------------------------------------------
-
-    def batch_kernel_declarations(self) -> dict:
-        """The raw batch-kernel declarations of this model, by name.
-
-        This is what an accelerated :mod:`repro.backend` backend
-        compiles: one ``rate:<name>`` entry per transition (the
-        coordinate-major rate function) plus the declared
-        ``affine_drift_batch`` / ``drift_jacobian_batch`` kernels when
-        present (absent keys are simply not declared).  The REG005
-        registry audit holds every entry to the
-        :func:`repro.backend.kernel_compilable` contract so registered
-        models stay compilable.
-        """
-        decls = {}
-        for tr in self.transitions:
-            decls[f"rate:{tr.name}"] = tr.rate
-        if self._affine_drift_batch is not None:
-            decls["affine_drift_batch"] = self._affine_drift_batch
-        if self._drift_jacobian_batch is not None:
-            decls["drift_jacobian_batch"] = self._drift_jacobian_batch
-        return decls
-
-    def backend_kernels(self, backend=None):
-        """This model's batch kernels compiled on an array backend.
-
-        ``backend`` is a name, an
-        :class:`~repro.backend.ArrayBackend` instance, or ``None`` for
-        the process default (see :func:`repro.backend.resolve_backend`).
-        Kernels compile once per ``(model, backend)`` pair and are
-        memoized on the backend; on the numpy backend they *are* the
-        bound batch methods, so dispatching through the seam is
-        bit-identical to calling them directly.
-        """
-        from repro.backend import resolve_backend
-
-        return resolve_backend(backend).model_kernels(self)
-
-    # ------------------------------------------------------------------
     # State-space housekeeping
     # ------------------------------------------------------------------
 

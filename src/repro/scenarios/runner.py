@@ -122,8 +122,7 @@ def _resolve_observables(model, spec: ScenarioSpec) -> Dict[str, np.ndarray]:
     return _resolve_weights(model, list(spec.observables) or None)
 
 
-def _run_envelope(model, spec: ScenarioSpec, q: Question,
-                  backend=None) -> QuestionOutcome:
+def _run_envelope(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     opts = q.opts
     times = opts.get("times")
     if times is None:
@@ -135,7 +134,6 @@ def _run_envelope(model, spec: ScenarioSpec, q: Question,
         model, spec.x0, times,
         resolution=int(opts.get("resolution", 7)),
         observables=observables,
-        backend=backend,
         **kwargs,
     )
     out = QuestionOutcome()
@@ -148,8 +146,7 @@ def _run_envelope(model, spec: ScenarioSpec, q: Question,
     return out
 
 
-def _run_pontryagin(model, spec: ScenarioSpec, q: Question,
-                    backend=None) -> QuestionOutcome:
+def _run_pontryagin(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     opts = q.opts
     horizons = opts.get("horizons")
     if horizons is None:
@@ -165,7 +162,7 @@ def _run_pontryagin(model, spec: ScenarioSpec, q: Question,
         kwargs["sides"] = tuple(opts["sides"])
     observables = list(spec.observables) or None
     bounds = pontryagin_transient_bounds(
-        model, spec.x0, horizons, observables=observables, backend=backend,
+        model, spec.x0, horizons, observables=observables,
         **kwargs
     )
     out = QuestionOutcome()
@@ -184,8 +181,7 @@ def _run_pontryagin(model, spec: ScenarioSpec, q: Question,
     return out
 
 
-def _run_hull(model, spec: ScenarioSpec, q: Question,
-              backend=None) -> QuestionOutcome:
+def _run_hull(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     opts = q.opts
     times = opts.get("times")
     if times is None:
@@ -196,8 +192,7 @@ def _run_hull(model, spec: ScenarioSpec, q: Question,
                 "theta_method", "batch"):
         if key in opts:
             kwargs[key] = opts[key]
-    hull = differential_hull_bounds(model, spec.x0, times, backend=backend,
-                                    **kwargs)
+    hull = differential_hull_bounds(model, spec.x0, times, **kwargs)
     out = QuestionOutcome()
     for i, name in enumerate(model.state_names):
         out.series[q.prefixed(f"hull_{name}_lower")] = (times, hull.lower[:, i])
@@ -210,8 +205,7 @@ def _run_hull(model, spec: ScenarioSpec, q: Question,
     return out
 
 
-def _run_template(model, spec: ScenarioSpec, q: Question,
-                  backend=None) -> QuestionOutcome:
+def _run_template(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     opts = q.opts
     family = str(opts.get("family", "box"))
     if family == "box":
@@ -228,7 +222,7 @@ def _run_template(model, spec: ScenarioSpec, q: Question,
         kwargs["batch"] = bool(opts["batch"])
     polytope = template_reachable_bounds(
         model, spec.x0, float(opts.get("horizon", spec.horizon)),
-        directions=directions, backend=backend, **kwargs
+        directions=directions, **kwargs
     )
     out = QuestionOutcome()
     box = polytope.bounding_box()
@@ -241,8 +235,7 @@ def _run_template(model, spec: ScenarioSpec, q: Question,
     return out
 
 
-def _run_steadystate(model, spec: ScenarioSpec, q: Question,
-                     backend=None) -> QuestionOutcome:
+def _run_steadystate(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     opts = q.opts
     out = QuestionOutcome()
     batch = bool(opts.get("batch", True))
@@ -251,7 +244,6 @@ def _run_steadystate(model, spec: ScenarioSpec, q: Question,
         horizon=float(opts.get("horizon", max(spec.horizon, 50.0))),
         batch=batch,
         settle=bool(opts.get("settle", True)),
-        backend=backend,
     )
     out.findings[q.prefixed("steady_hull_converged")] = float(rect.converged)
     for i, name in enumerate(model.state_names):
@@ -289,8 +281,7 @@ def _run_steadystate(model, spec: ScenarioSpec, q: Question,
     return out
 
 
-def _run_ensemble(model, spec: ScenarioSpec, q: Question,
-                  backend=None) -> QuestionOutcome:
+def _run_ensemble(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     opts = q.opts
     resolution = opts.get("resolution")
     if resolution is None:
@@ -309,7 +300,6 @@ def _run_ensemble(model, spec: ScenarioSpec, q: Question,
         seed=int(opts.get("seed", 2016)),
         n_samples=n_samples,
         model_kwargs=spec.kwargs,
-        backend=backend,
     )
     weights = _resolve_observables(model, spec)
     out = QuestionOutcome()
@@ -331,8 +321,7 @@ def _run_ensemble(model, spec: ScenarioSpec, q: Question,
     return out
 
 
-def _run_dtmc_reward(model, spec: ScenarioSpec, q: Question,
-                     backend=None) -> QuestionOutcome:
+def _run_dtmc_reward(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     """Finite-``N`` interval-DTMC reward bounds through uniformization.
 
     Enumerates the chain at ``population_size``, uniformizes it into a
@@ -364,7 +353,7 @@ def _run_dtmc_reward(model, spec: ScenarioSpec, q: Question,
     start_state = np.empty((steps + 1, value.shape[0]))
     start_state[0] = value[:, 0]
     for k in range(steps):
-        value = dtmc.upper_operator_batch(value, backend=backend)
+        value = dtmc.upper_operator_batch(value)
         start_state[k + 1] = value[:, 0]
     times = np.arange(steps + 1) / rate
 
@@ -384,7 +373,6 @@ def _run_dtmc_reward(model, spec: ScenarioSpec, q: Question,
             lo, hi = dtmc.stationary_expectation_bounds(
                 rewards[j],
                 max_iter=int(opts.get("stationary_max_iter", 50_000)),
-                backend=backend,
             )
             out.findings[q.prefixed(f"dtmc_{name}_stationary_lower")] = lo
             out.findings[q.prefixed(f"dtmc_{name}_stationary_upper")] = hi
@@ -395,8 +383,7 @@ def _run_dtmc_reward(model, spec: ScenarioSpec, q: Question,
         # bias, so soundness is pinned on the Poisson-mixed bounds,
         # which enclose by construction; one stacked call mixes every
         # observable and both directions in a single value iteration.
-        mixed_lo, mixed_hi = dtmc.uniformized_bounds(rewards, horizon, rate,
-                                                     backend=backend)
+        mixed_lo, mixed_hi = dtmc.uniformized_bounds(rewards, horizon, rate)
         for j, name in enumerate(names):
             exact_hi = imprecise_reward_bounds(
                 chain, rewards[j], horizon, maximize=True, n_steps=n_steps
@@ -435,34 +422,21 @@ _BACKENDS = {
 
 
 def run_question(spec: ScenarioSpec, question: Question,
-                 model=None, backend=None) -> QuestionOutcome:
-    """Run one question of a spec (building the model when not supplied).
-
-    ``backend`` selects the compiled-array backend (a
-    :mod:`repro.backend` name) the question's batch kernels dispatch
-    through; ``None`` keeps the process default.
-    """
+                 model=None) -> QuestionOutcome:
+    """Run one question of a spec (building the model when not supplied)."""
     if model is None:
         model = spec.build_model()
     attrs = {"scenario": spec.name, "kind": question.kind}
     if question.label:
         attrs["label"] = question.label
-    if backend is not None:
-        attrs["backend"] = str(backend)
     with telemetry.span("scenario.question", **attrs):
-        return _BACKENDS[question.kind](model, spec, question,
-                                        backend=backend)
+        return _BACKENDS[question.kind](model, spec, question)
 
 
 def _run_question_payload(payload) -> QuestionOutcome:
-    """Pool worker: run one question of a (pickled) spec.
-
-    The backend crosses the pool boundary as its *name* (a picklable
-    string); the worker re-resolves it, falling back with the standard
-    warning if the substrate is missing in the worker environment.
-    """
-    spec, index, backend = payload
-    return run_question(spec, spec.questions[index], backend=backend)
+    """Pool worker: run one question of a (pickled) spec."""
+    spec, index = payload
+    return run_question(spec, spec.questions[index])
 
 
 # ----------------------------------------------------------------------
@@ -486,7 +460,6 @@ class AnalysisPlan:
     cache_dir: Optional[str] = None
     processes: Optional[int] = None
     kinds: Optional[Tuple[str, ...]] = None  # run only these question kinds
-    backend: Optional[str] = None  # compiled-array backend name (repro.backend)
     on_error: str = "raise"
     retry: Optional[RetryPolicy] = None
 
@@ -608,7 +581,6 @@ def run_scenario(
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
     processes: Optional[int] = None,
-    backend: Optional[str] = None,
     on_error: Optional[str] = None,
     retry: Optional[RetryPolicy] = None,
 ) -> ScenarioRun:
@@ -630,10 +602,6 @@ def run_scenario(
         Fan independent questions over a process pool (the spec itself
         is shipped to the workers; ad-hoc specs shard like catalog
         entries).
-    backend:
-        Compiled-array backend name (see :mod:`repro.backend`) every
-        question's batch kernels dispatch through; ``None`` keeps the
-        process default (``set_backend`` / ``$REPRO_BACKEND`` / numpy).
     on_error:
         ``"partial"`` isolates per-question failures into
         :class:`~repro.resilience.QuestionFailure` records on the
@@ -654,8 +622,8 @@ def run_scenario(
     overrides = {
         key: value
         for key, value in (("use_cache", use_cache), ("cache_dir", cache_dir),
-                           ("processes", processes), ("backend", backend),
-                           ("on_error", on_error), ("retry", retry))
+                           ("processes", processes), ("on_error", on_error),
+                           ("retry", retry))
         if value is not None
     }
     if overrides:
@@ -694,8 +662,7 @@ def _run_questions_serial_robust(spec: ScenarioSpec, plan: AnalysisPlan,
         last_exc: Optional[BaseException] = None
         for attempt in range(1, policy.max_attempts + 1):
             try:
-                outcome = run_question(spec, question, model=model,
-                                       backend=plan.backend)
+                outcome = run_question(spec, question, model=model)
             except Exception as exc:
                 last_exc = exc
                 if errors_c is not None:
@@ -773,8 +740,7 @@ def _execute_plan(spec: ScenarioSpec, plan: AnalysisPlan) -> ScenarioRun:
     robust = plan.on_error == "partial" or plan.retry is not None
     failures: List[QuestionFailure] = []
     if parallel_ok:
-        payloads = [(spec, i, plan.backend)
-                    for i in range(len(spec.questions))]
+        payloads = [(spec, i) for i in range(len(spec.questions))]
         if robust:
             policy = dataclasses.replace(
                 plan.retry or RetryPolicy(max_attempts=1),
@@ -803,7 +769,7 @@ def _execute_plan(spec: ScenarioSpec, plan: AnalysisPlan) -> ScenarioRun:
         outcomes, failures = _run_questions_serial_robust(spec, plan, model)
     else:
         model = spec.build_model()
-        outcomes = [run_question(spec, q, model=model, backend=plan.backend)
+        outcomes = [run_question(spec, q, model=model)
                     for q in spec.questions]
 
     for outcome in outcomes:

@@ -188,6 +188,23 @@ class TestModelBatchKernels:
                 rtol=1e-12, atol=1e-12,
             )
 
+    @pytest.mark.parametrize("factory", CATALOG_FACTORIES,
+                             ids=lambda f: f.__name__)
+    def test_affine_parts_batch_reconstructs_drift_batch(self, factory):
+        """``g0 + G theta`` of the batched decomposition is the batched
+        drift: the affine and corner strategies read the two kernels
+        interchangeably."""
+        model = factory()
+        rng = np.random.default_rng(17)
+        states = rng.uniform(0.0, 1.0, size=(N_POINTS, model.dim))
+        thetas = model.theta_set.sample(rng, N_POINTS)
+        g0s, big_gs = model.affine_parts_batch(states)
+        np.testing.assert_allclose(
+            g0s + np.einsum("ndp,np->nd", big_gs, thetas),
+            model.drift_batch(states, thetas),
+            rtol=1e-12, atol=1e-12,
+        )
+
     def test_jacobian_x_batch_row_mismatch_rejected(self):
         model = make_sir_model()
         states = np.full((3, model.dim), 0.4)
@@ -228,6 +245,76 @@ class TestModelBatchKernels:
                     np.zeros((xs.shape[0], 1)), xs[:, :, None]
                 ),
             )
+
+
+@pytest.fixture(scope="module")
+def kolmogorov_systems():
+    """Master equations of small catalog chains (duck-typed models)."""
+    from repro.ctmc import ImpreciseCTMC, KolmogorovSystem
+
+    chains = {
+        "bike": ImpreciseCTMC(make_bike_station_model().instantiate(8, [0.5])),
+        "sir": ImpreciseCTMC(
+            make_sir_full_model().instantiate(5, [0.6, 0.4, 0.0])),
+        "power_of_d": ImpreciseCTMC(
+            make_power_of_d_model(buffer_depth=3).instantiate(
+                5, [0.4, 0.0, 0.0])),
+    }
+    return {key: KolmogorovSystem(chain) for key, chain in chains.items()}
+
+
+KOLMOGOROV_KEYS = ("bike", "sir", "power_of_d")
+
+
+class TestKolmogorovSystemKernels:
+    """The extremizer calls the Kolmogorov adapter's own batch methods,
+    exactly as it does a population model's."""
+
+    def _distributions(self, system, seed):
+        rng = np.random.default_rng(seed)
+        return rng.dirichlet(np.ones(system.dim), size=N_POINTS), rng
+
+    @pytest.mark.parametrize("key", KOLMOGOROV_KEYS)
+    def test_drift_batch_matches_scalar(self, key, kolmogorov_systems):
+        system = kolmogorov_systems[key]
+        states, rng = self._distributions(system, 23)
+        thetas = system.theta_set.sample(rng, N_POINTS)
+        drifts = system.drift_batch(states, thetas)
+        assert drifts.shape == (N_POINTS, system.dim)
+        for r in range(N_POINTS):
+            np.testing.assert_allclose(
+                drifts[r], system.drift(states[r], thetas[r]),
+                rtol=1e-12, atol=1e-12,
+            )
+
+    @pytest.mark.parametrize("key", KOLMOGOROV_KEYS)
+    def test_affine_parts_batch_matches_scalar(self, key, kolmogorov_systems):
+        system = kolmogorov_systems[key]
+        states, _ = self._distributions(system, 29)
+        g0s, big_gs = system.affine_parts_batch(states)
+        assert big_gs.shape == (N_POINTS, system.dim, system.theta_dim)
+        for r in range(N_POINTS):
+            g0, big_g = system.affine_parts(states[r])
+            np.testing.assert_allclose(g0s[r], g0, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(big_gs[r], big_g, rtol=1e-12,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("key", KOLMOGOROV_KEYS)
+    def test_maximize_direction_batch_matches_scalar(self, key,
+                                                     kolmogorov_systems):
+        system = kolmogorov_systems[key]
+        states, rng = self._distributions(system, 31)
+        directions = rng.normal(size=(N_POINTS, system.dim))
+        batched = DriftExtremizer(system)
+        scalar = DriftExtremizer(system, batch=False)
+        assert batched.method == "affine"
+        thetas, values = batched.maximize_direction_batch(states, directions)
+        for r in range(N_POINTS):
+            theta_s, value_s = scalar.maximize_direction(states[r],
+                                                         directions[r])
+            assert values[r] == pytest.approx(value_s, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(thetas[r], theta_s, rtol=1e-12,
+                                       atol=1e-12)
 
 
 class TestNonAffineAndDiscrete:
@@ -338,61 +425,3 @@ class TestConsumersBatchedVsScalar:
         assert not batched.contains_velocity(x, outside)
         assert not scalar.contains_velocity(x, outside)
 
-
-class TestBackendDifferential:
-    """Extremiser queries routed through each installed backend.
-
-    numpy must be bit-identical to the unrouted extremiser (its kernels
-    are the model's bound batch methods); compiled backends are pinned
-    at tolerance by ``assert_backend_close``.
-    """
-
-    @pytest.mark.parametrize("factory", [make_sir_model, make_seir_model],
-                             ids=lambda f: f.__name__)
-    def test_velocity_envelope(self, factory, rng, backend_name,
-                               assert_backend_close):
-        model = factory()
-        states, _ = _random_batch(model, rng)
-        reference = DriftExtremizer(model).velocity_envelope_batch(states)
-        routed = DriftExtremizer(
-            model, backend=backend_name
-        ).velocity_envelope_batch(states)
-        assert_backend_close(routed[0], reference[0])
-        assert_backend_close(routed[1], reference[1])
-
-    def test_directional_extremes(self, rng, backend_name,
-                                  assert_backend_close):
-        model = make_sir_model()
-        states, directions = _random_batch(model, rng)
-        reference = DriftExtremizer(model).maximize_direction_batch(
-            states, directions
-        )
-        routed = DriftExtremizer(
-            model, backend=backend_name
-        ).maximize_direction_batch(states, directions)
-        assert_backend_close(routed[0], reference[0])
-        assert_backend_close(routed[1], reference[1])
-
-    def test_pontryagin_bounds(self, backend_name, assert_backend_close):
-        from repro.bounds import pontryagin_transient_bounds
-
-        model = make_sir_model()
-        horizons = np.array([0.5, 1.0])
-        reference = pontryagin_transient_bounds(
-            model, [0.9, 0.1], horizons, observables=["I"]
-        )
-        routed = pontryagin_transient_bounds(
-            model, [0.9, 0.1], horizons, observables=["I"],
-            backend=backend_name,
-        )
-        assert_backend_close(routed.lower["I"], reference.lower["I"])
-        assert_backend_close(routed.upper["I"], reference.upper["I"])
-
-    def test_hull_bounds(self, backend_name, assert_backend_close):
-        model = make_sir_model(theta_max=2.0)
-        times = np.linspace(0.0, 1.0, 5)
-        reference = differential_hull_bounds(model, [0.9, 0.1], times)
-        routed = differential_hull_bounds(model, [0.9, 0.1], times,
-                                          backend=backend_name)
-        assert_backend_close(routed.lower, reference.lower)
-        assert_backend_close(routed.upper, reference.upper)

@@ -27,10 +27,7 @@ from repro.analysis.lint import (
     run_lint,
 )
 from repro.analysis.lint.framework import Finding
-from repro.analysis.lint.registry_audit import (
-    _check_kernel_declarations,
-    audit_registry,
-)
+from repro.analysis.lint.registry_audit import audit_registry
 from repro.params import Interval
 from repro.population import PopulationModel, Transition
 from repro.scenarios.registry import _REGISTRY, register_scenario
@@ -189,13 +186,6 @@ def _batchless_factory():
     return PopulationModel("batchless", ("x",), [tr], Interval(0.0, 2.0))
 
 
-def _uncompilable_factory():
-    """A model whose rate captures a mutable container (REG005 bait)."""
-    table = {"scale": 2.0}
-    tr = Transition("t", [1.0], lambda x, th: table["scale"] * x[0] * th[0])
-    return PopulationModel("uncompilable", ("x",), [tr], Interval(0.0, 2.0))
-
-
 class TestRegistryAudit:
     def test_real_catalog_is_clean(self):
         assert audit_registry() == []
@@ -231,41 +221,6 @@ class TestRegistryAudit:
         assert "REG004" in codes
         messages = " ".join(f.message for f in findings)
         assert "lint-test-bad-scenario" in messages
-
-    def test_uncompilable_kernel_fires_reg005(self):
-        findings = []
-        _check_kernel_declarations(
-            "lint-test-uncompilable", _uncompilable_factory(), findings
-        )
-        assert [f.code for f in findings] == ["REG005"]
-        assert "rate:t" in findings[0].message
-        assert "container" in findings[0].message
-
-    def test_uncompilable_registered_scenario_is_caught(self):
-        spec = ScenarioSpec(
-            name="lint-test-uncompilable-scenario",
-            title="synthetic REG005 bait",
-            model_factory=_uncompilable_factory,
-            x0=(0.5,),
-            horizon=1.0,
-            questions=(Question("envelope", options={"n_times": 3}),),
-            observables=("x",),
-        )
-        register_scenario(spec)
-        try:
-            findings = audit_registry()
-        finally:
-            _REGISTRY.pop(spec.name, None)
-        reg005 = [f for f in findings if f.code == "REG005"]
-        assert len(reg005) == 1
-        assert "lint-test-uncompilable-scenario" in reg005[0].message
-
-    def test_compilable_models_stay_silent(self):
-        from repro.models import make_sir_model
-
-        findings = []
-        _check_kernel_declarations("sir", make_sir_model(), findings)
-        assert findings == []
 
 
 class TestSelfClean:

@@ -18,6 +18,8 @@ CI runs this file with ``-rs`` and fails if anything here skips.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.bounds import pontryagin_transient_bounds, uncertain_envelope
 from repro.bounds.pontryagin import extremal_trajectories_batch, extremal_trajectory
@@ -44,6 +46,7 @@ from repro.ode import (
     rk4_integrate_controlled_batch,
     solve_ode,
 )
+from repro.ode.batch import _dp_stage_sum
 from repro.steadystate import hull_steady_rectangle, uncertain_fixed_points
 
 CATALOG = [
@@ -426,59 +429,23 @@ class TestTrajectoryBatchContainer:
         np.testing.assert_array_equal(lane.states, states[1, :2])
 
 
-class TestBackendDifferential:
-    """The same integrations routed through each installed backend.
 
-    The numpy parameter must be bit-identical to the direct call (the
-    seam's numpy kernels *are* the reference expressions); compiled
-    backends are pinned at tolerance by ``assert_backend_close``.
-    """
+class TestDopriStageSum:
+    """``_dp_stage_sum`` is the ``dot`` that ``np.tensordot`` makes."""
 
-    def _field(self, model):
-        def field(t, X):
-            return model.drift_batch(X, np.full((X.shape[0], 1), 2.0))
-        return field
-
-    def test_rk4_lockstep(self, sir_model, rng, backend_name,
-                          assert_backend_close):
-        X0 = rng.uniform(0.05, 0.6, size=(5, 2))
-        t_eval = np.linspace(0.0, 2.0, 33)
-        reference = rk4_integrate_batch(self._field(sir_model), X0, t_eval)
-        routed = rk4_integrate_batch(self._field(sir_model), X0, t_eval,
-                                     backend=backend_name)
-        assert_backend_close(routed.states, reference.states)
-
-    def test_rk4_controlled(self, sir_model, rng, backend_name,
-                            assert_backend_close):
-        X0 = rng.uniform(0.05, 0.6, size=(4, 2))
-        t_eval = np.linspace(0.0, 1.5, 21)
-        controls = rng.uniform(1.0, 5.0, size=(4, t_eval.shape[0] - 1, 1))
-
-        def dynamics(t, X, U):
-            return sir_model.drift_batch(X, U)
-
-        reference = rk4_integrate_controlled_batch(dynamics, X0, t_eval,
-                                                   controls)
-        routed = rk4_integrate_controlled_batch(dynamics, X0, t_eval,
-                                                controls,
-                                                backend=backend_name)
-        assert_backend_close(routed.states, reference.states)
-
-    def test_dopri_adaptive(self, sir_model, rng, backend_name,
-                            assert_backend_close):
-        X0 = rng.uniform(0.05, 0.6, size=(4, 2))
-        t_eval = np.linspace(0.0, 2.0, 9)
-        reference = dopri_batch(self._field(sir_model), X0, t_eval)
-        routed = dopri_batch(self._field(sir_model), X0, t_eval,
-                             backend=backend_name)
-        assert_backend_close(routed.states, reference.states)
-
-    def test_envelope_through_backend(self, sir_model, sir_x0, backend_name,
-                                      assert_backend_close):
-        times = np.linspace(0.0, 1.0, 5)
-        reference = uncertain_envelope(sir_model, sir_x0, times, resolution=3)
-        routed = uncertain_envelope(sir_model, sir_x0, times, resolution=3,
-                                    backend=backend_name)
-        for name in reference.observable_names:
-            assert_backend_close(routed.lower[name], reference.lower[name])
-            assert_backend_close(routed.upper[name], reference.upper[name])
+    @given(k=st.integers(min_value=1, max_value=7),
+           lanes=st.integers(min_value=1, max_value=64),
+           dim=st.integers(min_value=1, max_value=6),
+           stage_exp=st.integers(min_value=-12, max_value=12),
+           coeff_exp=st.integers(min_value=-6, max_value=6),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_tensordot_bit_for_bit(self, k, lanes, dim, stage_exp,
+                                           coeff_exp, seed):
+        rng = np.random.default_rng(seed)
+        # A leading slice of a 7-stage stack, as dopri_batch passes it.
+        stack = rng.standard_normal((7, lanes, dim)) * 10.0 ** stage_exp
+        coeffs = rng.standard_normal(k) * 10.0 ** coeff_exp
+        stages = stack[:k]
+        got = _dp_stage_sum(coeffs, stages)
+        assert got.shape == (lanes, dim)
+        assert np.array_equal(got, np.tensordot(coeffs, stages, axes=(0, 0)))

@@ -1,7 +1,12 @@
 """The top-level package exposes the documented public API."""
 
+import dataclasses
 import importlib.util
+import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import repro
 
@@ -76,3 +81,64 @@ class TestPublicAPI:
             module = importlib.import_module(pkg)
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), f"{pkg}.{name} missing"
+
+
+def _public_callables():
+    """``(qualified name, callable)`` for every public API entry point.
+
+    Covers the exports of the top-level package and of the analysis
+    subpackages, plus the public methods (and constructors) of every
+    exported class.
+    """
+    import importlib
+
+    for pkg in ("repro", "repro.scenarios", "repro.engine", "repro.ode",
+                "repro.bounds", "repro.ctmc"):
+        module = importlib.import_module(pkg)
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if attr == "__init__" or not attr.startswith("_"):
+                        if isinstance(member, (staticmethod, classmethod)):
+                            member = member.__func__
+                        if inspect.isfunction(member):
+                            yield f"{pkg}.{name}.{attr}", member
+            elif callable(obj):
+                yield f"{pkg}.{name}", obj
+
+
+class TestNoArrayBackendKnob:
+    """Batch kernels are the models' own numpy methods; nothing selects
+    another array backend."""
+
+    def test_no_public_callable_takes_a_backend(self):
+        checked = 0
+        for qualname, fn in _public_callables():
+            try:
+                params = inspect.signature(fn).parameters
+            except (TypeError, ValueError):  # builtins without a signature
+                continue
+            checked += 1
+            assert "backend" not in params, qualname
+        assert checked > 100
+
+    def test_analysis_plan_has_no_backend_field(self):
+        from repro.scenarios import AnalysisPlan
+
+        fields = {f.name for f in dataclasses.fields(AnalysisPlan)}
+        assert "backend" not in fields
+
+    def test_cli_rejects_backend_flag(self, tmp_path):
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "sir-transient",
+             "--backend", "numpy", "--no-cache"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "--backend" in proc.stderr
