@@ -397,9 +397,9 @@ def _extremal_trajectories_batch_impl(
     describing one extremal-trajectory problem; all of them advance in
     lockstep through the batched RK4 kernels: per iteration the forward
     state sweep is *one* :func:`~repro.ode.rk4_integrate_controlled_batch`
-    call, the backward costate sweep one :func:`~repro.ode.rk4_integrate_batch`
-    call (batched analytic Jacobians through
-    :meth:`~repro.population.PopulationModel.jacobian_x_batch`), and the
+    call, the backward costate sweep one :func:`_costate_sweep_batch`
+    call (every stage's Jacobian from one
+    :meth:`~repro.population.PopulationModel.jacobian_x_batch` call), and the
     Hamiltonian re-maximisation one extremiser call over every lane's
     every grid interval.  Per-lane convergence masks let converged lanes
     retire — they stop consuming forward/backward work — while the rest
@@ -977,10 +977,12 @@ def reachable_polytope_2d(
     """Convex template over-approximation of the reachable set at ``T``.
 
     Runs one Pontryagin sweep per template direction ``c_k`` on the unit
-    circle and intersects the halfspaces ``c_k . x <= h_k`` — the
-    "convex template polyhedron" refinement noted at the end of
-    Section IV-C.  Returns the polygon vertices (CCW).  Only implemented
-    for 2-D models.
+    circle — one lane per direction of a single
+    :func:`extremal_trajectories_batch` call (``batch`` only selects the
+    extremiser's mode) — and intersects the halfspaces
+    ``c_k . x <= h_k``: the "convex template polyhedron" refinement
+    noted at the end of Section IV-C.  Returns the polygon vertices
+    (CCW).  Only implemented for 2-D models.
     """
     if model.dim != 2:
         raise ValueError("template polytopes are implemented for 2-D models")
@@ -989,13 +991,11 @@ def reachable_polytope_2d(
     extremizer = extremizer or DriftExtremizer(model, batch=batch)
     angles = np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False)
     normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    offsets = np.empty(n_directions)
-    for k, c in enumerate(normals):
-        result = extremal_trajectory(
-            model, x0, horizon, c, maximize=True, n_steps=n_steps,
-            max_iter=max_iter, extremizer=extremizer,
-        )
-        offsets[k] = result.value
+    results = extremal_trajectories_batch(
+        model, x0, [(c, True, horizon, n_steps) for c in normals],
+        max_iter=max_iter, extremizer=extremizer,
+    )
+    offsets = np.array([result.value for result in results])
     # Vertices of the halfspace intersection: adjacent constraint pairs.
     vertices = []
     for k in range(n_directions):

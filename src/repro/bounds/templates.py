@@ -3,8 +3,10 @@
 The remark closing Section IV-C: the Pontryagin iteration extends from
 coordinate bounds to any **convex template polyhedron** — pick a set of
 directions ``c_k``, compute ``h_k = max c_k . x(T)`` with one sweep per
-direction, and intersect the halfspaces ``c_k . x <= h_k``.  This module
-provides that machinery for models of any dimension (the 2-D
+direction, and intersect the halfspaces ``c_k . x <= h_k``.  The sweeps
+run as one lane per direction of a single
+:func:`~repro.bounds.pontryagin.extremal_trajectories_batch` call.  This
+module provides that machinery for models of any dimension (the 2-D
 vertex-enumeration convenience lives in
 :func:`repro.bounds.reachable_polytope_2d`):
 
@@ -23,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.bounds.pontryagin import extremal_trajectory
+from repro.bounds.pontryagin import extremal_trajectories_batch
 from repro.inclusion import DriftExtremizer
 
 __all__ = [
@@ -155,10 +157,11 @@ def template_reachable_bounds(
 ) -> TemplatePolytope:
     """Template polytope enclosing the reachable set at ``horizon``.
 
-    One Pontryagin sweep per template direction, each re-maximising its
-    Hamiltonian through the batched extremiser (``batch=False`` routes
-    the sweeps through the legacy scalar loop).  Works in any dimension
-    (used for the 4-D GPS MAP model); defaults to the octagon template.
+    One Pontryagin sweep per template direction, run as one lane per
+    direction of a single :func:`extremal_trajectories_batch` call
+    (``batch`` only selects the extremiser's mode).  Works in any
+    dimension (used for the 4-D GPS MAP model); defaults to the octagon
+    template.
     Soundness: every solution of the imprecise inclusion satisfies
     ``c_k . x(T) <= h_k`` for all ``k``, so the polytope contains the
     exact reachable set (it is *not* tight in non-template directions).
@@ -171,11 +174,9 @@ def template_reachable_bounds(
             f"directions must be (m, {model.dim}); got {directions.shape}"
         )
     extremizer = extremizer or DriftExtremizer(model, batch=batch)
-    offsets = np.empty(directions.shape[0])
-    for k, c in enumerate(directions):
-        result = extremal_trajectory(
-            model, x0, horizon, c, maximize=True, n_steps=n_steps,
-            max_iter=max_iter, extremizer=extremizer,
-        )
-        offsets[k] = result.value
+    results = extremal_trajectories_batch(
+        model, x0, [(c, True, horizon, n_steps) for c in directions],
+        max_iter=max_iter, extremizer=extremizer,
+    )
+    offsets = np.array([result.value for result in results])
     return TemplatePolytope(directions.copy(), offsets)

@@ -14,6 +14,11 @@ finite-``N`` chain is a birth–death process, which makes this model the
 reference case for the exact CTMC machinery (:mod:`repro.ctmc`): the
 imprecise Kolmogorov bounds can be validated against enumeration over
 extreme constant parameters.
+
+Rate lambdas must accept coordinate-major arrays as well as scalars
+(``np.where`` rather than ``if``/``else``), so that
+:meth:`~repro.population.PopulationModel.drift_batch` takes its
+vectorized fast path.
 """
 
 from __future__ import annotations
@@ -43,12 +48,12 @@ def make_bike_station_model(
     departure = Transition(
         "departure",
         change=[-1.0],
-        rate=lambda x, th: th[0] if x[0] > 0.0 else 0.0,
+        rate=lambda x, th: np.where(x[0] > 0.0, th[0], 0.0),
     )
     bike_return = Transition(
         "return",
         change=[1.0],
-        rate=lambda x, th: th[1] if x[0] < 1.0 else 0.0,
+        rate=lambda x, th: np.where(x[0] < 1.0, th[1], 0.0),
     )
 
     def affine_drift(x):

@@ -32,6 +32,12 @@ lattice.  The per-class queue fraction the paper plots is
 Paper parameter values (Section VI-C): ``mu = (5, 1)``,
 ``phi = (1, 1)``, ``lambda_1 in [1, 7]``, ``lambda_2 in [2, 3]``,
 ``a = (1, 2)``, initial ``Q_1(0) = Q_2(0) = 0.1``.
+
+Rate lambdas must accept coordinate-major arrays as well as scalars
+(``np.maximum`` and :func:`_gps_share_rate_batch`, not ``max`` and
+:func:`_gps_share_rate`), so that
+:meth:`~repro.population.PopulationModel.drift_batch` takes its
+vectorized fast path.
 """
 
 from __future__ import annotations
@@ -178,24 +184,24 @@ def make_gps_poisson_model(
     creation_1 = Transition(
         "creation_1",
         change=[1.0, 0.0],
-        rate=lambda x, th: th[0] * max(n1 - x[0], 0.0),
+        rate=lambda x, th: th[0] * np.maximum(n1 - x[0], 0.0),
     )
     creation_2 = Transition(
         "creation_2",
         change=[0.0, 1.0],
-        rate=lambda x, th: th[1] * max(n2 - x[1], 0.0),
+        rate=lambda x, th: th[1] * np.maximum(n2 - x[1], 0.0),
     )
     service_1 = Transition(
         "service_1",
         change=[-1.0, 0.0],
-        rate=lambda x, th: _gps_share_rate(
+        rate=lambda x, th: _gps_share_rate_batch(
             x[0], x[1], mu[0], phi[0], x[0], phi, capacity
         ),
     )
     service_2 = Transition(
         "service_2",
         change=[0.0, -1.0],
-        rate=lambda x, th: _gps_share_rate(
+        rate=lambda x, th: _gps_share_rate_batch(
             x[0], x[1], mu[1], phi[1], x[1], phi, capacity
         ),
     )
@@ -300,10 +306,10 @@ def make_gps_map_model(
     theta_set = Box([("lambda1", lo1, hi1), ("lambda2", lo2, hi2)])
     n1, n2 = fractions
 
-    def active(x, class_index: int) -> float:
+    def active(x, class_index: int):
         if class_index == 0:
-            return max(n1 - x[0] - x[1], 0.0)
-        return max(n2 - x[2] - x[3], 0.0)
+            return np.maximum(n1 - x[0] - x[1], 0.0)
+        return np.maximum(n2 - x[2] - x[3], 0.0)
 
     send_1 = Transition(
         "send_1",
@@ -318,14 +324,14 @@ def make_gps_map_model(
     service_1 = Transition(
         "service_1",
         change=[-1.0, 1.0, 0.0, 0.0],
-        rate=lambda x, th: _gps_share_rate(
+        rate=lambda x, th: _gps_share_rate_batch(
             x[0], x[2], mu[0], phi[0], x[0], phi, capacity
         ),
     )
     service_2 = Transition(
         "service_2",
         change=[0.0, 0.0, -1.0, 1.0],
-        rate=lambda x, th: _gps_share_rate(
+        rate=lambda x, th: _gps_share_rate_batch(
             x[0], x[2], mu[1], phi[1], x[2], phi, capacity
         ),
     )

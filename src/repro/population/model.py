@@ -338,7 +338,12 @@ class PopulationModel:
         skip the validation machinery entirely (same calls, same
         accumulation order — the fast path is bit-identical): this is
         the innermost call of every batched RK4 stage, so the bookkeeping
-        would otherwise dominate small-stack integrations.
+        would otherwise dominate small-stack integrations.  Until then, a
+        batch whose rows are all identical (every Pontryagin lane's first
+        forward sweep starts from the same ``x0`` and centre control) is
+        evaluated on its first row and broadcast: one evaluation instead
+        of ``n`` per-row ones, and no validation on rows that cannot tell
+        a pooling rate function from a correct one.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
@@ -353,6 +358,8 @@ class PopulationModel:
         can_validate = n >= 2 and (
             bool(np.any(x != x[0])) or bool(np.any(theta != theta[0]))
         )
+        if n >= 2 and not can_validate:
+            return np.repeat(self.drift_batch(x[:1], theta[:1]), n, axis=0)
         for e, tr in enumerate(self.transitions):
             vals, status = validated_batch_eval(
                 lambda: tr.rate(x_t, theta_t),

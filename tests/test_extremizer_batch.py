@@ -14,12 +14,16 @@ import numpy as np
 import pytest
 
 from repro.bounds import (
+    box_directions,
     differential_hull_bounds,
     extremal_trajectory,
+    octagon_directions,
+    reachable_polytope_2d,
     template_reachable_bounds,
 )
 from repro.inclusion import DriftExtremizer, ParametricInclusion
 from repro.models import (
+    gps_initial_state_map,
     make_autoscaler_model,
     make_bike_station_model,
     make_cdn_cache_model,
@@ -384,8 +388,6 @@ class TestConsumersBatchedVsScalar:
                                    rtol=1e-9, atol=1e-12)
 
     def test_hull_differential_four_dimensional(self, gps_map):
-        from repro.models import gps_initial_state_map
-
         t_eval = np.linspace(0.0, 0.5, 4)
         x0 = gps_initial_state_map()
         batched = differential_hull_bounds(gps_map, x0, t_eval)
@@ -411,6 +413,44 @@ class TestConsumersBatchedVsScalar:
                                            n_steps=80, batch=False)
         np.testing.assert_allclose(batched.offsets, scalar.offsets,
                                    rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("factory, x0, family, horizon", [
+        (make_gps_map_model, gps_initial_state_map(), box_directions, 5.0),
+        (make_cdn_cache_model, (0.1, 0.1), octagon_directions, 3.0),
+    ], ids=["gps-map-box", "cdn-cache-octagon"])
+    def test_template_lanes_match_scalar_sweeps(self, factory, x0, family,
+                                                horizon):
+        """One lane per direction == one scalar sweep per direction."""
+        model = factory()
+        directions = family(model.dim)
+        polytope = template_reachable_bounds(model, x0, horizon,
+                                             directions=directions,
+                                             n_steps=120)
+        reference = [
+            extremal_trajectory(model, x0, horizon, c, n_steps=120).value
+            for c in directions
+        ]
+        np.testing.assert_allclose(polytope.offsets, reference,
+                                   rtol=0.0, atol=1e-12)
+
+    def test_polytope_lanes_match_scalar_sweeps(self, sir_model, sir_x0):
+        vertices = reachable_polytope_2d(sir_model, sir_x0, 1.0,
+                                         n_directions=8, n_steps=60)
+        angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+        normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        offsets = np.array([
+            extremal_trajectory(sir_model, sir_x0, 1.0, c, n_steps=60).value
+            for c in normals
+        ])
+        # The same halfspace intersection, from the scalar offsets.
+        expected = []
+        for k in range(8):
+            matrix = normals[[k, (k + 1) % 8]]
+            vertex = np.linalg.solve(matrix, offsets[[k, (k + 1) % 8]])
+            if np.all(normals @ vertex <= offsets + 1e-7):
+                expected.append(vertex)
+        np.testing.assert_allclose(vertices, np.array(expected),
+                                   rtol=0.0, atol=1e-12)
 
     def test_inclusion_membership_batched(self, sir_model, rng):
         batched = ParametricInclusion(sir_model)

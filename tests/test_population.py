@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.params import Interval, Singleton
+from repro.params import Box, Interval, Singleton
 from repro.population import (
     PopulationModel,
     Transition,
@@ -184,6 +184,93 @@ class TestPopulationModel:
 
     def test_repr(self):
         assert "toy" in repr(two_state_model())
+
+
+def _registered_models():
+    """One scenario spec per distinct catalog model."""
+    from repro.scenarios import list_scenarios
+
+    seen, specs = set(), []
+    for spec in list_scenarios():
+        key = (spec.factory_ref, spec.model_kwargs)
+        if key not in seen:
+            seen.add(key)
+            specs.append(spec)
+    return specs
+
+
+class TestDriftBatchVectorization:
+    def test_identical_rows_evaluate_one_row(self):
+        calls = {"infect": 0, "recover": 0}
+
+        def counted(name, rate):
+            def wrapped(x, th):
+                calls[name] += 1
+                return rate(x, th)
+            return wrapped
+
+        model = PopulationModel(
+            "counted_sir", ("S", "I"),
+            [
+                Transition("infect", [-1.0, 1.0], counted(
+                    "infect", lambda x, th: th[0] * x[0] * x[1])),
+                Transition("recover", [0.0, -1.0], counted(
+                    "recover", lambda x, th: th[1] * x[1])),
+            ],
+            Box([("a", 1.0, 4.0), ("b", 0.5, 1.5)]),
+        )
+        x0, theta0 = np.array([0.7, 0.3]), np.array([3.0, 1.0])
+        drifts = model.drift_batch(np.tile(x0, (6, 1)),
+                                   np.tile(theta0, (6, 1)))
+        assert calls == {"infect": 1, "recover": 1}
+        np.testing.assert_array_equal(
+            drifts, np.tile(model.drift(x0, theta0), (6, 1)))
+        assert model._batch_drift_ok == {}
+        assert not model._drift_batch_fast
+
+    def test_identical_rows_do_not_bless_pooling(self):
+        model = PopulationModel(
+            "mean_pool", ("a", "b"),
+            [Transition("pooled", [1.0, 0.0],
+                        lambda x, th: th[0] * np.mean(x))],
+            Interval(0.0, 1.0),
+        )
+        model.drift_batch(np.tile([0.2, 0.1], (4, 1)), np.full((4, 1), 0.5))
+        assert model._batch_drift_ok.get(0) is None
+        distinct = np.array([[0.2, 0.1], [0.4, 0.05], [0.05, 0.05],
+                             [0.3, 0.2]])
+        model.drift_batch(distinct, np.full((4, 1), 0.5))
+        assert model._batch_drift_ok.get(0) is False
+
+    @pytest.mark.parametrize("spec", _registered_models(),
+                             ids=lambda spec: spec.name)
+    def test_catalog_rates_vectorize(self, spec):
+        """Every catalog rate lambda takes coordinate-major arrays, so
+        drift_batch and transition_rates_batch run vectorized."""
+        from repro import telemetry
+
+        model = spec.build_model()
+        lower = model.state_lower if model.state_lower is not None \
+            else np.zeros(model.dim)
+        upper = model.state_upper if model.state_upper is not None \
+            else np.ones(model.dim)
+        x = lower + np.array([[0.3], [0.6]]) * (upper - lower)
+        thetas = model.theta_set.sample(np.random.default_rng(0), 2)
+        telemetry.enable()
+        telemetry.clear()
+        try:
+            model.drift_batch(x, thetas)
+            model.transition_rates_batch(x, thetas)
+            rejections = telemetry.snapshot()["counters"].get(
+                "calculus.batch_rejections", 0)
+        finally:
+            telemetry.clear()
+            telemetry.disable()
+        n = len(model.transitions)
+        assert model._batch_drift_ok == {e: True for e in range(n)}
+        assert model._drift_batch_fast
+        assert model._batch_rate_ok == {e: True for e in range(n)}
+        assert rejections == 0
 
 
 class TestNumericJacobian:
